@@ -43,7 +43,6 @@ from .shattering import (
     psi,
     shatter_log,
     shatter_multi,
-    shatter_single,
     shatter_upper_closed,
     shatter_value,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "psi",
     "shatter_log",
     "shatter_multi",
-    "shatter_single",
     "shatter_upper_closed",
     "shatter_value",
     "solve_max_eps",

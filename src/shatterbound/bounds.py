@@ -164,7 +164,12 @@ def solve_min_n_trace(
         steps += 1
     n_star = hi
     if n_star > 1:
-        assert delta_bound(n_star - 1, eps, spec).log_value > target
+        before = delta_bound(n_star - 1, eps, spec).log_value
+        if before <= target:
+            raise RuntimeError(
+                f"bisection ended at n={n_star} but n={n_star - 1} already meets "
+                f"the target: log-bound {before!r} <= {target!r}"
+            )
 
     tail: list[tuple[int, float]] = []
     m = n_star
@@ -172,7 +177,11 @@ def solve_min_n_trace(
         m = min(ceiling, max(m + 1, int(m * 1.5)))
         val = delta_bound(m, eps, spec).log_value
         tail.append((m, val))
-        assert val <= target, f"bound re-crossed target at n={m}"
+        if val > target:
+            raise RuntimeError(
+                f"bound re-crossed the target after n*={n_star}: log-bound "
+                f"{val!r} > {target!r} at n={m}"
+            )
         if m == ceiling:
             break
 

@@ -25,7 +25,7 @@ from .bounds import (
     max_eps_report,
     min_n_report,
 )
-from .oracle import MAX_ENUM_POINTS, PRNG_ID, verify_formula
+from .oracle import verify_formula
 from .shattering import HypothesisSpec, shatter_value
 
 __all__ = ["OutputRecord", "main", "entrypoint"]
@@ -120,7 +120,6 @@ def _require(cond: bool, message: str) -> None:
 
 
 def cmd_coef(args) -> tuple[OutputRecord, int]:
-    _require(args.n >= 1, f"--n must be positive, got {args.n}")
     spec = _spec_from(args)
     sv = shatter_value(args.n, spec)
     record = OutputRecord(
@@ -134,8 +133,6 @@ def cmd_coef(args) -> tuple[OutputRecord, int]:
 
 
 def cmd_bound(args) -> tuple[OutputRecord, int]:
-    _require(args.n >= 1, f"--n must be positive, got {args.n}")
-    _require(0.0 < args.eps < 1.0, f"--eps must lie in (0, 1), got {args.eps}")
     spec = _spec_from(args)
     rep = bound_report(args.n, args.eps, spec)
     flags = []
@@ -157,8 +154,6 @@ def cmd_bound(args) -> tuple[OutputRecord, int]:
 
 
 def cmd_solve_n(args) -> tuple[OutputRecord, int]:
-    _require(0.0 < args.delta < 1.0, f"--delta must lie in (0, 1), got {args.delta}")
-    _require(0.0 < args.eps < 1.0, f"--eps must lie in (0, 1), got {args.eps}")
     spec = _spec_from(args)
     rep = min_n_report(args.delta, args.eps, spec, ceiling=args.ceiling)
     trace = rep.trace
@@ -183,8 +178,6 @@ def cmd_solve_n(args) -> tuple[OutputRecord, int]:
 
 
 def cmd_solve_eps(args) -> tuple[OutputRecord, int]:
-    _require(args.n >= 1, f"--n must be positive, got {args.n}")
-    _require(0.0 < args.delta < 1.0, f"--delta must lie in (0, 1), got {args.delta}")
     spec = _spec_from(args)
     rep = max_eps_report(args.n, args.delta, spec)
     flags = []
@@ -204,6 +197,8 @@ def cmd_solve_eps(args) -> tuple[OutputRecord, int]:
 
 
 def cmd_curve(args) -> tuple[OutputRecord, int]:
+    # not a repeat of emit_epsilon_curve's n >= 2 check: log_spaced_grid runs
+    # first and fails on n_start <= 0 (division by zero, negative ratio)
     _require(args.n_start >= 2, f"--n-start must be >= 2, got {args.n_start}")
     _require(args.n_end > args.n_start, "--n-end must exceed --n-start")
     _require(args.n_points >= 2, f"--n-points must be >= 2, got {args.n_points}")
@@ -241,17 +236,10 @@ def cmd_curve(args) -> tuple[OutputRecord, int]:
     )
     if args.format == "csv":
         sys.stdout.write(csv_text)
-        return record, EXIT_OK
     return record, EXIT_OK
 
 
 def cmd_verify(args) -> tuple[OutputRecord, int]:
-    _require(
-        1 <= args.n <= MAX_ENUM_POINTS,
-        f"size guard: --n must lie in 1..{MAX_ENUM_POINTS}, got {args.n}",
-    )
-    _require(1 <= args.h <= 4, f"size guard: --h must lie in 1..4, got {args.h}")
-    _require(args.trials >= 1, f"--trials must be positive, got {args.trials}")
     _require(args.workers >= 1, f"--workers must be positive, got {args.workers}")
     rep = verify_formula(args.n, args.h, args.trials, args.seed, workers=args.workers)
     record = OutputRecord(

@@ -76,13 +76,27 @@ def exact_binomial(n: int, k: int) -> BigCount:
     return math.comb(n, k)
 
 
+def _log_binomial_row(m: int, k: int) -> list[float]:
+    """ln C(m, i) for i = 0..k, needs k <= m.
+
+    Built by ln C(m, i) = ln C(m, i-1) + ln(m-i+1) - ln i, which adds logs
+    of exact integers and cannot cancel. The log-gamma difference
+    lgamma(m+1) - lgamma(i+1) - lgamma(m-i+1) subtracts near-equal terms and
+    loses digits as m grows: all of them by m = 2^62.
+    """
+    row = [0.0]
+    for i in range(1, k + 1):
+        row.append(row[-1] + math.log(m - i + 1) - math.log(i))
+    return row
+
+
 def log_binomial(n: int, k: int) -> LogNum:
-    """ln C(n, k) via log-gamma; LogNum.zero() when k > n."""
+    """ln C(n, k) in O(min(k, n-k)) steps; LogNum.zero() when k > n."""
     if n < 0 or k < 0:
         raise ValueError(f"binomial arguments must be nonnegative, got ({n}, {k})")
     if k > n:
         return LogNum.zero()
-    return LogNum(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1))
+    return LogNum(_log_binomial_row(n, min(k, n - k))[-1])
 
 
 def log_sum(a: LogNum, b: LogNum) -> LogNum:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .logarithmetic import BigCount
 from .rational_lp import OPTIMAL, simplex_max
-from .shattering import shatter_single
+from .shattering import HypothesisSpec, shatter_multi
 
 __all__ = [
     "PointSet",
@@ -79,8 +79,6 @@ def _lifted_full_rank(points) -> bool:
 
 
 def _in_general_position(points, dim) -> bool:
-    if len(set(points)) != len(points):
-        return False
     m = min(dim + 1, len(points))
     return all(
         _lifted_full_rank(subset)
@@ -148,7 +146,8 @@ class SeparabilityCertificate:
 
 def generate_general_position(n: int, h: int, seed: int) -> PointSet:
     """Deterministic general-position sample: integer coordinates uniform on
-    [-1000, 1000], whole set redrawn until the exact position check passes.
+    [-1000, 1000], whole set redrawn until PointSet's exact position check
+    accepts it.
 
     Whole-set resampling keeps the draw a pure function of (n, h, seed); the
     Mersenne Twister behind ``random.Random`` is stable across platforms.
@@ -160,11 +159,13 @@ def generate_general_position(n: int, h: int, seed: int) -> PointSet:
     rng = random.Random(seed)
     for attempt in range(MAX_RESAMPLES + 1):
         pts = tuple(
-            tuple(Fraction(rng.randint(-COORD_RANGE, COORD_RANGE)) for _ in range(h))
+            tuple(rng.randint(-COORD_RANGE, COORD_RANGE) for _ in range(h))
             for _ in range(n)
         )
-        if _in_general_position(pts, h):
+        try:
             return PointSet(dim=h, points=pts, seed=seed, resamples=attempt)
+        except ValueError:
+            continue
     raise GeneralPositionError(
         f"no general-position set of n={n}, h={h} after {MAX_RESAMPLES} resamples "
         f"(seed={seed})"
@@ -202,7 +203,11 @@ def _margin_lp(points, labels):
         A.append(row)
         rhs.append(_ZERO)
     res = simplex_max(c, A, rhs)
-    assert res.status == OPTIMAL, "margin program is feasible and box-bounded"
+    if res.status != OPTIMAL:
+        raise RuntimeError(
+            f"margin program is box-bounded but came back {res.status!r} "
+            f"for labels {list(labels)} on points {points}"
+        )
     x = res.x
     w = tuple(x[j] - x[h + j] for j in range(h))
     b = x[2 * h] - x[2 * h + 1]
@@ -224,7 +229,12 @@ def is_separable(ps: PointSet, d: Dichotomy) -> SeparabilityCertificate | None:
         return None
     cert = SeparabilityCertificate(w=w, b=b, margin=t)
     for pt, lab in zip(ps.points, d.labels):
-        assert lab * cert.side(pt) >= cert.margin
+        signed = lab * cert.side(pt)
+        if signed < cert.margin:
+            raise RuntimeError(
+                f"certificate w={w}, b={b}, margin={t} fails point {pt} "
+                f"with label {lab}: signed side {signed}"
+            )
     return cert
 
 
@@ -343,7 +353,7 @@ def verify_formula(
         raise ValueError(f"trials must be positive, got {trials}")
     master = random.Random(seed)
     trial_seeds = [master.randrange(2**32) for _ in range(trials)]
-    expected = shatter_single(n, h)
+    expected = shatter_multi(n, HypothesisSpec(h, 1))
     results = []
     for ts in trial_seeds:
         ps = generate_general_position(n, h, ts)

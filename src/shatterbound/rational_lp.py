@@ -1,9 +1,10 @@
-"""Dense two-phase simplex over exact rationals.
+"""Dense single-phase simplex over exact rationals, for b >= 0.
 
-Solves   maximize c.x  subject to  A x <= b,  x >= 0   exactly, so
-feasibility and the sign of the optimum are never floating-point judgement
-calls. Bland's smallest-index rule governs both pivot choices, which rules
-out cycling.
+Solves   maximize c.x  subject to  A x <= b,  x >= 0   exactly, so the
+sign of the optimum is never a floating-point judgement call. With every
+right-hand side nonnegative, x = 0 is feasible and the all-slack basis is
+a starting vertex, so one phase suffices. Bland's smallest-index rule
+governs both pivot choices, which rules out cycling.
 
 Arithmetic uses integer pivoting: constraints are scaled to integers and
 the tableau is kept as d * T for an integer scalar d (the previous pivot
@@ -20,10 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-__all__ = ["LPResult", "simplex_max", "OPTIMAL", "INFEASIBLE", "UNBOUNDED"]
+__all__ = ["LPResult", "simplex_max", "OPTIMAL", "UNBOUNDED"]
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
@@ -46,20 +46,6 @@ def _scaled_int_rows(A, b):
         rows.append([int(f * k) for f in fr])
         rhs.append(int(fb * k))
     return rows, rhs
-
-
-def _price_out(c_ext, rows, basis, d):
-    """Physical reduced-cost row d*(c - c_B B^-1 A); integer because d*B^-1
-    is the adjugate of an integer basis matrix."""
-    width = len(rows[0]) if rows else len(c_ext) + 1
-    obj = [d * v for v in c_ext] + [0]
-    for i, bv in enumerate(basis):
-        f = c_ext[bv]
-        if f:
-            row = rows[i]
-            for j in range(width):
-                obj[j] -= f * row[j]
-    return obj
 
 
 def _pivot(rows, obj, basis, r, c, d):
@@ -102,20 +88,11 @@ def _bland_leaving(rows, col, basis):
     return best
 
 
-def _run_phase(rows, obj, basis, n_enter, d):
-    """Pivot to optimality; returns (bounded, d)."""
-    while True:
-        col = _bland_entering(obj, n_enter)
-        if col is None:
-            return True, d
-        row = _bland_leaving(rows, col, basis)
-        if row is None:
-            return False, d
-        d = _pivot(rows, obj, basis, row, col, d)
-
-
 def simplex_max(c, A, b) -> LPResult:
-    """Maximize c.x subject to A x <= b, x >= 0 (entries coerced to Fraction)."""
+    """Maximize c.x subject to A x <= b, x >= 0 (entries coerced to Fraction).
+
+    Every entry of b must be nonnegative; a negative one raises ValueError.
+    """
     m = len(A)
     n = len(c)
     if any(len(row) != n for row in A) or len(b) != m:
@@ -124,61 +101,29 @@ def simplex_max(c, A, b) -> LPResult:
     ck = lcm(*(f.denominator for f in c_frac)) if c_frac else 1
     c_int = [int(f * ck) for f in c_frac]
     a_int, b_int = _scaled_int_rows(A, b)
+    for i, bv in enumerate(b_int):
+        if bv < 0:
+            raise ValueError(f"right-hand side must be nonnegative, got b[{i}] = {b[i]}")
 
-    # columns: n structural | m slacks | artificials | rhs
-    need_art = [i for i in range(m) if b_int[i] < 0]
-    art_col = {i: n + m + k for k, i in enumerate(need_art)}
-    width = n + m + len(need_art) + 1
-
+    # columns: n structural | m slacks | rhs; the slacks form the start basis
     rows = []
-    basis = []
     for i in range(m):
-        row = [0] * width
-        sgn = -1 if b_int[i] < 0 else 1
-        for j in range(n):
-            row[j] = sgn * a_int[i][j]
-        row[n + i] = sgn
-        row[-1] = sgn * b_int[i]
-        if sgn < 0:
-            row[art_col[i]] = 1
-            basis.append(art_col[i])
-        else:
-            basis.append(n + i)
+        row = a_int[i] + [0] * m + [b_int[i]]
+        row[n + i] = 1
         rows.append(row)
+    basis = list(range(n, n + m))
+    # reduced costs d*(c - c_B B^-1 A) with d = 1 and c_B = 0
+    obj = c_int + [0] * (m + 1)
 
     d = 1
-    art_cols = frozenset(art_col.values())
-
-    if need_art:
-        # phase 1: maximize -(sum of artificials); feasible iff optimum is 0
-        c_phase1 = [0] * (n + m) + [-1] * len(need_art)
-        obj = _price_out(c_phase1, rows, basis, d)
-        bounded, d = _run_phase(rows, obj, basis, n + m, d)
-        assert bounded, "phase-1 objective is bounded by construction"
-        if obj[-1] != 0:
-            # -objective = obj[-1]/d; nonzero means sum of artificials > 0
-            return LPResult(status=INFEASIBLE)
-        # drive zero-level artificials out of the basis where possible; a row
-        # with no structural/slack entry left is redundant and stays parked
-        for i in range(m):
-            if basis[i] in art_cols:
-                piv_col = next((j for j in range(n + m) if rows[i][j] != 0), None)
-                if piv_col is not None:
-                    d = _pivot(rows, obj, basis, i, piv_col, d)
-                    if d < 0:
-                        # a negative degenerate pivot flips the tableau scale;
-                        # negating everything restores d > 0 with T unchanged
-                        d = -d
-                        obj[:] = [-v for v in obj]
-                        for k in range(m):
-                            rows[k] = [-v for v in rows[k]]
-
-    # phase 2 on the structural objective; artificial columns barred
-    c_phase2 = c_int + [0] * (width - 1 - n)
-    obj = _price_out(c_phase2, rows, basis, d)
-    bounded, d = _run_phase(rows, obj, basis, n + m, d)
-    if not bounded:
-        return LPResult(status=UNBOUNDED)
+    while True:
+        col = _bland_entering(obj, n + m)
+        if col is None:
+            break
+        row = _bland_leaving(rows, col, basis)
+        if row is None:
+            return LPResult(status=UNBOUNDED)
+        d = _pivot(rows, obj, basis, row, col, d)
 
     x = [Fraction(0)] * n
     for i, bv in enumerate(basis):

@@ -20,8 +20,8 @@ from .logarithmetic import (
     LN2,
     BigCount,
     LogNum,
+    _log_binomial_row,
     exact_binomial,
-    log_binomial,
     log_of_bigcount,
     log_pow,
     log_sum,
@@ -30,7 +30,6 @@ from .logarithmetic import (
 __all__ = [
     "HypothesisSpec",
     "ShatterValue",
-    "shatter_single",
     "shatter_multi",
     "shatter_log",
     "shatter_value",
@@ -85,21 +84,13 @@ def is_saturated(n: int, h: int) -> bool:
     return h >= n - 1
 
 
-def shatter_single(n: int, h: int) -> BigCount:
-    """2 * sum_{i=0}^{h} C(n-1, i), exactly.
+def shatter_multi(n: int, spec: HypothesisSpec) -> BigCount:
+    """2 * sum_{i=0}^{h} C(n-1, i)**p, exactly.
 
-    Equals 2^n whenever h >= n-1 (the whole binomial row is included).
+    Equals 2^n at p = 1 whenever h >= n-1 (the whole binomial row is included).
     """
-    if h < 0:
-        raise ValueError(f"dimension h must be nonnegative, got {h}")
     _require_positive_n(n)
     # terms with i > n-1 vanish, so the loop never needs to pass the row end
-    return 2 * sum(exact_binomial(n - 1, i) for i in range(min(h, n - 1) + 1))
-
-
-def shatter_multi(n: int, spec: HypothesisSpec) -> BigCount:
-    """2 * sum_{i=0}^{h} C(n-1, i)**p, exactly; reduces to shatter_single at p=1."""
-    _require_positive_n(n)
     return 2 * sum(
         exact_binomial(n - 1, i) ** spec.p for i in range(min(spec.h, n - 1) + 1)
     )
@@ -109,8 +100,8 @@ def shatter_log(n: int, spec: HypothesisSpec) -> LogNum:
     """Log-domain twin of shatter_multi, for n where the count has hundreds of digits."""
     _require_positive_n(n)
     acc = LogNum.zero()
-    for i in range(min(spec.h, n - 1) + 1):
-        acc = log_sum(acc, log_pow(log_binomial(n - 1, i), spec.p))
+    for ln_c in _log_binomial_row(n - 1, min(spec.h, n - 1)):
+        acc = log_sum(acc, log_pow(LogNum(ln_c), spec.p))
     return LogNum(LN2 + acc.log_value)
 
 
@@ -126,7 +117,8 @@ def shatter_value(n: int, spec: HypothesisSpec, exact: bool = True) -> ShatterVa
 def complement_count(n: int, h: int) -> BigCount:
     """2 * sum_{i=h+1}^{n} C(n-1, i): the labelings a dimension-h bias excludes.
 
-    Satisfies shatter_single(n, h) + complement_count(n, h) == 2**n exactly.
+    Satisfies shatter_multi(n, HypothesisSpec(h)) + complement_count(n, h) == 2**n
+    exactly.
     """
     if h < 0:
         raise ValueError(f"dimension h must be nonnegative, got {h}")

@@ -21,7 +21,6 @@ from shatterbound.shattering import (
     complement_count,
     shatter_log,
     shatter_multi,
-    shatter_single,
     shatter_upper_closed,
 )
 
@@ -53,9 +52,9 @@ def test_01_headline_sample_size():
 
 @criterion(2, "four-point ladder constants 2 / 8 / 14 are exact")
 def test_02_ladder_constants():
-    assert shatter_single(4, 0) == 2
-    assert shatter_single(4, 1) == 8
-    assert shatter_single(4, 2) == 14
+    assert shatter_multi(4, HypothesisSpec(0)) == 2
+    assert shatter_multi(4, HypothesisSpec(1)) == 8
+    assert shatter_multi(4, HypothesisSpec(2)) == 14
 
 
 @criterion(3, "brute-force oracle equals the formula for n<=10, h<=3, 3 seeds each")
@@ -68,7 +67,7 @@ def test_03_oracle_equivalence():
                 seed = rng.randrange(2**32)
                 ps = generate_general_position(n, h, seed)
                 got = count_dichotomies(ps)
-                want = shatter_single(n, h)
+                want = shatter_multi(n, HypothesisSpec(h))
                 assert got == want, (n, h, seed, got, want)
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, f"sweep took {elapsed:.1f}s"
@@ -78,7 +77,7 @@ def test_03_oracle_equivalence():
 def test_04_complement_identity():
     for n in range(2, 65):
         for h in range(1, n):
-            assert shatter_single(n, h) + complement_count(n, h) == 2**n
+            assert shatter_multi(n, HypothesisSpec(h)) + complement_count(n, h) == 2**n
 
 
 @criterion(5, "binomial sandwich holds with zero violations for 1 <= k <= m <= 100")

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +90,39 @@ class TestSolveMinN:
     def test_unreachable_target_raises(self):
         with pytest.raises(NoBracketError):
             solve_min_n(0.01, 0.05, HypothesisSpec(3, 16), ceiling=1000)
+
+    def test_recrossing_raises_under_optimize(self):
+        # a bound that climbs back over the target past n* must be reported
+        # even with asserts stripped; n* = 9587 here and the doubling ladder
+        # stops at 16384, so only the tail probes see the patched region
+        script = textwrap.dedent(
+            """
+            import sys
+            import shatterbound.bounds as bounds
+            from shatterbound.logarithmetic import LogNum
+            from shatterbound.shattering import HypothesisSpec
+
+            assert sys.flags.optimize, "run me with python -O"
+            real = bounds.delta_bound
+            bounds.delta_bound = lambda n, eps, spec: (
+                LogNum(0.0) if n > 20000 else real(n, eps, spec)
+            )
+            try:
+                bounds.solve_min_n(0.01, 0.05, HypothesisSpec(0, 1))
+            except RuntimeError as exc:
+                print(exc)
+            """
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "re-crossed the target after n*=9587" in proc.stdout
+        assert "at n=21570" in proc.stdout
 
     def test_trace_expansion_is_doubling(self):
         _, trace = solve_min_n_trace(0.01, 0.05, HypothesisSpec(2, 4))

@@ -249,7 +249,7 @@ class TestVerify:
     def test_mismatch_exit_2(self, capsys, monkeypatch):
         import shatterbound.oracle as om
 
-        monkeypatch.setattr(om, "shatter_single", lambda n, h: 999)
+        monkeypatch.setattr(om, "shatter_multi", lambda n, spec: 999)
         code, out, _ = run_cli(
             capsys, "verify", "--n", "3", "--h", "1", "--trials", "1", "--seed", "0"
         )

@@ -14,7 +14,7 @@ from shatterbound.oracle import (
     is_separable,
     verify_formula,
 )
-from shatterbound.shattering import shatter_single
+from shatterbound.shattering import HypothesisSpec, shatter_multi
 
 
 def pts(*coords):
@@ -197,11 +197,11 @@ class TestCountDichotomies:
     @settings(max_examples=10, deadline=None)
     def test_matches_formula_on_random_sets(self, seed):
         ps = generate_general_position(7, 2, seed)
-        assert count_dichotomies(ps) == shatter_single(7, 2)
+        assert count_dichotomies(ps) == shatter_multi(7, HypothesisSpec(2))
 
     def test_matches_formula_at_twelve_points(self):
         ps = generate_general_position(12, 3, 5)
-        assert count_dichotomies(ps) == shatter_single(12, 3)
+        assert count_dichotomies(ps) == shatter_multi(12, HypothesisSpec(3))
 
 
 class TestVerifyFormula:

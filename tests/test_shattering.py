@@ -1,10 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shatterbound.logarithmetic import exact_binomial, log_of_bigcount
+from shatterbound.logarithmetic import exact_binomial, log_binomial, log_of_bigcount
 from shatterbound.shattering import (
     HypothesisSpec,
     asymptotic_condition,
@@ -17,7 +17,6 @@ from shatterbound.shattering import (
     psi,
     shatter_log,
     shatter_multi,
-    shatter_single,
     shatter_upper_closed,
     shatter_value,
 )
@@ -35,34 +34,35 @@ class TestHypothesisSpec:
 class TestShatterSingle:
     def test_four_point_ladder(self):
         # the 2 / 8 / 14 ladder for four points as the dimension grows
-        assert shatter_single(4, 0) == 2
-        assert shatter_single(4, 1) == 8
-        assert shatter_single(4, 2) == 14
+        assert shatter_multi(4, HypothesisSpec(0)) == 2
+        assert shatter_multi(4, HypothesisSpec(1)) == 8
+        assert shatter_multi(4, HypothesisSpec(2)) == 14
 
     def test_saturates_to_power_of_two(self):
-        assert shatter_single(3, 5) == 8
+        assert shatter_multi(3, HypothesisSpec(5)) == 8
         for n in range(1, 20):
-            assert shatter_single(n, n - 1) == 2**n
-            assert shatter_single(n, n + 3) == 2**n
+            assert shatter_multi(n, HypothesisSpec(n - 1)) == 2**n
+            assert shatter_multi(n, HypothesisSpec(n + 3)) == 2**n
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            shatter_single(0, 2)
+            shatter_multi(0, HypothesisSpec(2))
         with pytest.raises(ValueError):
-            shatter_single(4, -1)
+            shatter_multi(4, HypothesisSpec(-1))
 
     @given(st.integers(1, 64), st.integers(0, 64))
     def test_monotone_in_n_and_h(self, n, h):
-        v = shatter_single(n, h)
-        assert shatter_single(n + 1, h) >= v
-        assert shatter_single(n, h + 1) >= v
+        v = shatter_multi(n, HypothesisSpec(h))
+        assert shatter_multi(n + 1, HypothesisSpec(h)) >= v
+        assert shatter_multi(n, HypothesisSpec(h + 1)) >= v
 
 
 class TestShatterMulti:
     def test_reduces_to_single_at_p_1(self):
         for n in range(1, 30):
             for h in range(0, 6):
-                assert shatter_multi(n, HypothesisSpec(h, 1)) == shatter_single(n, h)
+                want = 2 * sum(math.comb(n - 1, i) for i in range(h + 1))
+                assert shatter_multi(n, HypothesisSpec(h, 1)) == want
 
     def test_two_hyperplane_value(self):
         # 2 * (C(3,0)^2 + C(3,1)^2) = 2 * (1 + 9)
@@ -104,6 +104,29 @@ class TestShatterLog:
         assert abs(got - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
+@st.composite
+def log_uniform_n(draw):
+    """n in 1..2^63-1, uniform over bit lengths so every scale gets examples."""
+    bits = draw(st.integers(0, 62))
+    return draw(st.integers(2**bits, 2 ** (bits + 1) - 1))
+
+
+class TestLogPathToTheCeiling:
+    @given(
+        log_uniform_n(), st.integers(0, 4), st.sampled_from([1, 16]), st.integers(0, 8)
+    )
+    @example(2**63 - 1, 4, 16, 8)
+    @example(2**62, 1, 1, 1)
+    @settings(max_examples=300)
+    def test_matches_big_integer_path(self, n, h, p, k):
+        spec = HypothesisSpec(h, p)
+        exact = math.log(shatter_multi(n, spec))
+        assert shatter_log(n, spec).log_value == pytest.approx(exact, rel=1e-12)
+        if k <= n:
+            exact = math.log(math.comb(n, k))
+            assert log_binomial(n, k).log_value == pytest.approx(exact, rel=1e-12)
+
+
 class TestShatterValue:
     def test_bundles_paths_and_saturation(self):
         sv = shatter_value(3, HypothesisSpec(h=9, p=1))
@@ -126,7 +149,7 @@ class TestComplementCount:
     def test_identity_against_full_space(self):
         for n in range(1, 65):
             for h in range(0, n + 1):
-                assert shatter_single(n, h) + complement_count(n, h) == 2**n
+                assert shatter_multi(n, HypothesisSpec(h)) + complement_count(n, h) == 2**n
 
 
 class TestClosedFormUpperBound:
