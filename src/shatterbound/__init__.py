@@ -4,8 +4,6 @@ and risk divergence, and an exact brute-force oracle for the counting
 formula."""
 
 from .bounds import (
-    BoundQuery,
-    BoundReport,
     CurveRow,
     NoBracketError,
     delta_bound,
@@ -33,7 +31,6 @@ from .oracle import (
 )
 from .shattering import (
     HypothesisSpec,
-    ShatterValue,
     asymptotic_condition,
     binom_lower_bound,
     binom_upper_bound,
@@ -44,13 +41,10 @@ from .shattering import (
     shatter_log,
     shatter_multi,
     shatter_upper_closed,
-    shatter_value,
 )
 
 __all__ = [
     "BigCount",
-    "BoundQuery",
-    "BoundReport",
     "CurveRow",
     "Dichotomy",
     "HypothesisSpec",
@@ -58,7 +52,6 @@ __all__ = [
     "NoBracketError",
     "PointSet",
     "SeparabilityCertificate",
-    "ShatterValue",
     "asymptotic_condition",
     "binom_lower_bound",
     "binom_upper_bound",
@@ -79,7 +72,6 @@ __all__ = [
     "shatter_log",
     "shatter_multi",
     "shatter_upper_closed",
-    "shatter_value",
     "solve_max_eps",
     "solve_min_n",
     "verify_formula",

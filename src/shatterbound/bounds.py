@@ -17,11 +17,9 @@ import math
 from dataclasses import dataclass
 
 from .logarithmetic import LN2, LogNum
-from .shattering import HypothesisSpec, epsilon_curve, is_saturated, shatter_log
+from .shattering import HypothesisSpec, epsilon_curve, shatter_log
 
 __all__ = [
-    "BoundQuery",
-    "BoundReport",
     "BracketTrace",
     "CurveRow",
     "NoBracketError",
@@ -31,9 +29,6 @@ __all__ = [
     "solve_min_n_trace",
     "solve_max_eps",
     "emit_epsilon_curve",
-    "bound_report",
-    "min_n_report",
-    "max_eps_report",
 ]
 
 DEFAULT_CEILING = 2**63 - 1
@@ -58,24 +53,6 @@ class NoBracketError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BoundQuery:
-    """Inputs to any of the bound operations; solvers read the subset they need."""
-
-    spec: HypothesisSpec
-    n: int | None = None
-    eps: float | None = None
-    delta: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.n is not None and self.n < 1:
-            raise ValueError(f"sample size n must be positive, got {self.n}")
-        if self.eps is not None and not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.delta is not None and not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
-
-
-@dataclass(frozen=True)
 class BracketTrace:
     """Audit record of the bracket expansion and bisection."""
 
@@ -83,21 +60,6 @@ class BracketTrace:
     bracket: tuple[int, int]
     bisection_steps: int
     tail_probes: tuple[tuple[int, float], ...]
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One solved query: which field is the answer is named by ``primary``."""
-
-    query: BoundQuery
-    delta_log: LogNum
-    primary: str
-    solved_n: int | None = None
-    solved_eps: float | None = None
-    path: str = "log"
-    saturated: bool = False
-    vacuous: bool = False
-    trace: BracketTrace | None = None
 
 
 def delta_bound(n: int, eps: float, spec: HypothesisSpec) -> LogNum:
@@ -239,39 +201,3 @@ def emit_epsilon_curve(
             rows.append(CurveRow(n=n, h=spec.h, p=spec.p, epsilon=epsilon_curve(n, spec)))
     return rows
 
-
-def bound_report(n: int, eps: float, spec: HypothesisSpec) -> BoundReport:
-    dl = delta_bound(n, eps, spec)
-    return BoundReport(
-        query=BoundQuery(spec=spec, n=n, eps=eps),
-        delta_log=dl,
-        primary="delta_log",
-        saturated=is_saturated(n, spec.h),
-        vacuous=dl.log_value > 0.0,
-    )
-
-
-def min_n_report(
-    delta: float, eps: float, spec: HypothesisSpec, ceiling: int = DEFAULT_CEILING
-) -> BoundReport:
-    n_star, trace = solve_min_n_trace(delta, eps, spec, ceiling)
-    return BoundReport(
-        query=BoundQuery(spec=spec, eps=eps, delta=delta),
-        delta_log=delta_bound(n_star, eps, spec),
-        primary="solved_n",
-        solved_n=n_star,
-        saturated=is_saturated(n_star, spec.h),
-        trace=trace,
-    )
-
-
-def max_eps_report(n: int, delta: float, spec: HypothesisSpec) -> BoundReport:
-    eps = solve_max_eps(n, delta, spec)
-    return BoundReport(
-        query=BoundQuery(spec=spec, n=n, delta=delta),
-        delta_log=LogNum(math.log(delta)),
-        primary="solved_eps",
-        solved_eps=eps,
-        saturated=is_saturated(n, spec.h),
-        vacuous=eps >= 1.0,
-    )

@@ -20,13 +20,13 @@ from dataclasses import dataclass
 from .bounds import (
     DEFAULT_CEILING,
     NoBracketError,
-    bound_report,
+    delta_bound,
     emit_epsilon_curve,
-    max_eps_report,
-    min_n_report,
+    solve_max_eps,
+    solve_min_n_trace,
 )
 from .oracle import verify_formula
-from .shattering import HypothesisSpec, shatter_value
+from .shattering import HypothesisSpec, is_saturated, shatter_log, shatter_multi
 
 __all__ = ["OutputRecord", "main", "entrypoint"]
 
@@ -107,38 +107,28 @@ def log_spaced_grid(n_start: int, n_end: int, n_points: int) -> list[int]:
     return grid
 
 
-def _spec_from(args) -> HypothesisSpec:
-    try:
-        return HypothesisSpec(h=args.h, p=getattr(args, "p", 1) or 1)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise UsageError(message)
 
 
 def cmd_coef(args) -> tuple[OutputRecord, int]:
-    spec = _spec_from(args)
-    sv = shatter_value(args.n, spec)
+    spec = HypothesisSpec(args.h, args.p)
+    log = shatter_log(args.n, spec).log_value
     record = OutputRecord(
         command="coef",
         inputs={"n": args.n, "h": spec.h, "p": spec.p},
-        result={"count": sv.exact, "log": sv.log.log_value},
-        flags=["saturated"] if sv.saturated else [],
+        result={"count": shatter_multi(args.n, spec), "log": log},
+        flags=["saturated"] if is_saturated(args.n, spec.h) else [],
         provenance={"path": "exact"},
     )
     return record, EXIT_OK
 
 
 def cmd_bound(args) -> tuple[OutputRecord, int]:
-    spec = _spec_from(args)
-    rep = bound_report(args.n, args.eps, spec)
-    flags = []
-    if rep.vacuous:
-        flags.append("vacuous")
-    delta_log = rep.delta_log.log_value
+    spec = HypothesisSpec(args.h, args.p)
+    delta_log = delta_bound(args.n, args.eps, spec).log_value
+    flags = ["vacuous"] if delta_log > 0.0 else []
     if args.clamp and delta_log > 0.0:
         delta_log = 0.0
         flags.append("clamped")
@@ -154,16 +144,15 @@ def cmd_bound(args) -> tuple[OutputRecord, int]:
 
 
 def cmd_solve_n(args) -> tuple[OutputRecord, int]:
-    spec = _spec_from(args)
-    rep = min_n_report(args.delta, args.eps, spec, ceiling=args.ceiling)
-    trace = rep.trace
+    spec = HypothesisSpec(args.h, args.p)
+    n_star, trace = solve_min_n_trace(args.delta, args.eps, spec, ceiling=args.ceiling)
     record = OutputRecord(
         command="solve-n",
         inputs={"delta": args.delta, "eps": args.eps, "h": spec.h, "p": spec.p,
                 "ceiling": args.ceiling},
         result={
-            "n": rep.solved_n,
-            "delta_log_at_n": rep.delta_log.log_value,
+            "n": n_star,
+            "delta_log_at_n": delta_bound(n_star, args.eps, spec).log_value,
             "trace": {
                 "expansion": [[n, v] for n, v in trace.expansion],
                 "bracket": list(trace.bracket),
@@ -171,25 +160,22 @@ def cmd_solve_n(args) -> tuple[OutputRecord, int]:
                 "tail_probes": [[n, v] for n, v in trace.tail_probes],
             },
         },
-        flags=["saturated"] if rep.saturated else [],
+        flags=["saturated"] if is_saturated(n_star, spec.h) else [],
         provenance={"path": "log"},
     )
     return record, EXIT_OK
 
 
 def cmd_solve_eps(args) -> tuple[OutputRecord, int]:
-    spec = _spec_from(args)
-    rep = max_eps_report(args.n, args.delta, spec)
-    flags = []
-    if rep.vacuous:
-        flags.append("vacuous")
-    if rep.saturated:
+    spec = HypothesisSpec(args.h, args.p)
+    eps = solve_max_eps(args.n, args.delta, spec)
+    flags = ["vacuous"] if eps >= 1.0 else []
+    if is_saturated(args.n, spec.h):
         flags.append("saturated")
     record = OutputRecord(
         command="solve-eps",
         inputs={"n": args.n, "delta": args.delta, "h": spec.h, "p": spec.p},
-        result={"epsilon": rep.solved_eps,
-                "delta_log_target": rep.delta_log.log_value},
+        result={"epsilon": eps, "delta_log_target": math.log(args.delta)},
         flags=flags,
         provenance={"path": "log"},
     )
@@ -205,10 +191,7 @@ def cmd_curve(args) -> tuple[OutputRecord, int]:
     h_list = _int_list(args.h_list)
     p_list = _int_list(args.p_list)
     _require(bool(h_list) and bool(p_list), "--h-list and --p-list must be nonempty")
-    try:
-        specs = [HypothesisSpec(h=h, p=p) for h in h_list for p in p_list]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    specs = [HypothesisSpec(h=h, p=p) for h in h_list for p in p_list]
     grid = log_spaced_grid(args.n_start, args.n_end, args.n_points)
     rows = emit_epsilon_curve(grid, specs)
     csv_lines = ["n,h,p,epsilon"]
@@ -261,19 +244,21 @@ def cmd_verify(args) -> tuple[OutputRecord, int]:
 
 
 def _plain_lines(record: OutputRecord) -> list[str]:
+    # str() of a float is its repr, so plain text carries the JSON values
     lines = [f"command: {record.command}"]
-    for key in record.inputs:
-        lines.append(f"{key}: {record.inputs[key]}")
+    lines += [f"{k}: {v}" for k, v in record.inputs.items()]
     res = record.result
-    if record.command == "coef":
-        lines.append(f"count: {res['count']}")
-        lines.append(f"log: {res['log']!r}")
-    elif record.command == "bound":
-        lines.append(f"delta: {res['delta']}")
-        lines.append(f"delta_log: {res['delta_log']!r}")
-    elif record.command == "solve-n":
-        lines.append(f"n: {res['n']}")
-        lines.append(f"delta_log_at_n: {res['delta_log_at_n']!r}")
+    if record.command == "verify":
+        for i, t in enumerate(res["trials"], start=1):
+            lines.append(
+                f"trial {i}: seed={t['seed']} resamples={t['resamples']} "
+                f"count={t['count']}"
+            )
+        lines.append(f"formula: {res['formula_count']}")
+        lines.append("result: PASS" if res["passed"] else "result: FAIL")
+    else:
+        lines += [f"{k}: {v}" for k, v in res.items() if k != "trace"]
+    if "trace" in res:
         tr = res["trace"]
         lines.append(f"bracket: {tr['bracket'][0]}..{tr['bracket'][1]}")
         lines.append(f"bisection_steps: {tr['bisection_steps']}")
@@ -285,22 +270,6 @@ def _plain_lines(record: OutputRecord) -> list[str]:
             "tail_probes: "
             + " ".join(f"{n}:{v:.6g}" for n, v in tr["tail_probes"])
         )
-    elif record.command == "solve-eps":
-        lines.append(f"epsilon: {res['epsilon']!r}")
-        lines.append(f"delta_log_target: {res['delta_log_target']!r}")
-    elif record.command == "curve":
-        lines.append(f"rows: {res['rows']}")
-        lines.append(f"families: {res['families']}")
-        lines.append(f"grid_points: {res['grid_points']}")
-        lines.append(f"out: {res['out']}")
-    elif record.command == "verify":
-        for i, t in enumerate(res["trials"], start=1):
-            lines.append(
-                f"trial {i}: seed={t['seed']} resamples={t['resamples']} "
-                f"count={t['count']}"
-            )
-        lines.append(f"formula: {res['formula_count']}")
-        lines.append("result: PASS" if res["passed"] else "result: FAIL")
     if record.flags:
         lines.append("flags: " + ",".join(record.flags))
     prov = record.provenance

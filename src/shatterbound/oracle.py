@@ -310,7 +310,8 @@ def count_dichotomies(ps: PointSet, workers: int = 1) -> BigCount:
         (1,) + combo for combo in itertools.product((1, -1), repeat=depth - 1)
     ]
     jobs = [(ps.points, pref) for pref in prefixes]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    # a fork pool starts all of its workers at once, so never more than jobs
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as ex:
         partials = list(ex.map(_chunk_job, jobs))
     return 2 * sum(partials)
 

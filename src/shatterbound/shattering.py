@@ -22,17 +22,14 @@ from .logarithmetic import (
     LogNum,
     _log_binomial_row,
     exact_binomial,
-    log_of_bigcount,
     log_pow,
     log_sum,
 )
 
 __all__ = [
     "HypothesisSpec",
-    "ShatterValue",
     "shatter_multi",
     "shatter_log",
-    "shatter_value",
     "complement_count",
     "shatter_upper_closed",
     "binom_lower_bound",
@@ -57,21 +54,6 @@ class HypothesisSpec:
             raise ValueError(f"dimension h must be nonnegative, got {self.h}")
         if self.p < 1:
             raise ValueError(f"hyperplane count p must be positive, got {self.p}")
-
-
-@dataclass(frozen=True)
-class ShatterValue:
-    """A shattering count with both computation paths bundled.
-
-    ``exact`` is None when only the log path ran. ``saturated`` marks
-    h >= n-1, where the count equals 2^n and no labeling is excluded.
-    """
-
-    n: int
-    spec: HypothesisSpec
-    log: LogNum
-    exact: BigCount | None = None
-    saturated: bool = False
 
 
 def _require_positive_n(n: int) -> None:
@@ -103,15 +85,6 @@ def shatter_log(n: int, spec: HypothesisSpec) -> LogNum:
     for ln_c in _log_binomial_row(n - 1, min(spec.h, n - 1)):
         acc = log_sum(acc, log_pow(LogNum(ln_c), spec.p))
     return LogNum(LN2 + acc.log_value)
-
-
-def shatter_value(n: int, spec: HypothesisSpec, exact: bool = True) -> ShatterValue:
-    """Bundle both paths plus the saturation flag for reporting."""
-    log = shatter_log(n, spec)
-    count = shatter_multi(n, spec) if exact else None
-    return ShatterValue(
-        n=n, spec=spec, log=log, exact=count, saturated=is_saturated(n, spec.h)
-    )
 
 
 def complement_count(n: int, h: int) -> BigCount:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -147,7 +148,7 @@ class TestSolveEps:
         assert code == 0
         rec = json.loads(out)
         assert rec["result"]["epsilon"] == pytest.approx(1.824, abs=1e-3)
-        assert "vacuous" in rec["flags"]
+        assert rec["flags"] == ["vacuous", "saturated"]
 
 
 class TestCurve:
@@ -316,3 +317,28 @@ class TestOutputContract:
     def test_missing_subcommand_exit_1(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["coef", "--n", "4", "--h", "2"],
+        ["bound", "--n", "4", "--eps", "0.5", "--h", "2"],
+        ["solve-n", "--delta", "0.01", "--eps", "0.05", "--h", "2"],
+        ["solve-eps", "--n", "100", "--delta", "0.01", "--h", "2"],
+    ])
+    def test_zero_hyperplanes_exit_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--p", "0")
+        assert code == 1
+        assert out == ""
+        assert "hyperplane count p must be positive" in err
+
+
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
+def test_golden_stdout(capsys, tmp_path, monkeypatch, case):
+    """Stdout bytes and exit code are the output contract: every subcommand
+    in each format, the saturated/vacuous/clamped flags, and a solve-n that
+    finds no bracket. The curve cases write c.csv into a temporary cwd."""
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, *case["argv"])
+    assert (code, out) == (case["exit"], case["stdout"])

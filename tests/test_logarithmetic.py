@@ -62,14 +62,6 @@ class TestLogBinomial:
                 exact = math.log(exact_binomial(n, k))
                 assert abs(log_binomial(n, k).log_value - exact) <= 1e-9
 
-    def test_log_gamma_against_exact_factorials(self):
-        fact = 1
-        for n in range(1, 171):
-            fact *= n
-            assert math.lgamma(n + 1) == pytest.approx(
-                math.log(fact), rel=1e-12, abs=1e-12
-            )
-
     def test_huge_argument_against_big_integer_oracle(self):
         exact = log_of_bigcount(exact_binomial(10**6, 3)).log_value
         got = log_binomial(10**6, 3).log_value

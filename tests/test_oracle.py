@@ -167,6 +167,31 @@ class TestCountDichotomies:
         assert count_dichotomies(ps, workers=2) == expect
         assert count_dichotomies(ps, workers=4) == expect
 
+    def test_pool_never_exceeds_the_job_count(self, monkeypatch):
+        import shatterbound.oracle as om
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(om, "ProcessPoolExecutor", SerialPool)
+        ps = generate_general_position(5, 2, 3)
+        # n = 5 splits into 2^4 = 16 prefix jobs however many workers ask
+        assert count_dichotomies(ps, workers=64) == count_dichotomies(ps)
+        assert count_dichotomies(ps, workers=2) == count_dichotomies(ps)
+        assert sizes == [16, 2]
+
     def test_invariant_under_point_order(self):
         ps = generate_general_position(7, 2, 21)
         shuffled = list(ps.points)

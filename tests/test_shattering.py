@@ -18,7 +18,6 @@ from shatterbound.shattering import (
     shatter_log,
     shatter_multi,
     shatter_upper_closed,
-    shatter_value,
 )
 
 
@@ -128,13 +127,6 @@ class TestLogPathToTheCeiling:
 
 
 class TestShatterValue:
-    def test_bundles_paths_and_saturation(self):
-        sv = shatter_value(3, HypothesisSpec(h=9, p=1))
-        assert sv.exact == 8
-        assert sv.saturated
-        assert abs(sv.log.log_value - math.log(8)) <= 1e-9
-        assert not shatter_value(10, HypothesisSpec(h=2, p=1)).saturated
-
     def test_is_saturated_boundary(self):
         assert is_saturated(4, 3)
         assert not is_saturated(4, 2)
