@@ -223,7 +223,6 @@ def cmd_curve(args) -> tuple[OutputRecord, int]:
 
 
 def cmd_verify(args) -> tuple[OutputRecord, int]:
-    _require(args.workers >= 1, f"--workers must be positive, got {args.workers}")
     rep = verify_formula(args.n, args.h, args.trials, args.seed, workers=args.workers)
     record = OutputRecord(
         command="verify",

@@ -3,9 +3,12 @@
 Independent check of the counting formula: generate n points in general
 position in dimension h, enumerate label vectors in {-1,+1}^n, and decide
 for each one whether some affine hyperplane strictly separates the classes.
-Separability is settled by an exact-rational LP, so "margin zero" versus
-"margin positive" is never a floating-point judgement call. The resulting
-count is compared against 2 * sum_{i<=h} C(n-1, i).
+Each point x is also kept as its integer lift k * (x, 1), k the lcm of x's
+denominators: the same ray as (x, 1), so the general-position test (a
+fraction-free integer elimination) and the margin LP read the lifted rows
+unchanged. Separability is settled by an exact LP on those integer rows, so
+"margin zero" versus "margin positive" is never a floating-point judgement
+call. The resulting count is compared against 2 * sum_{i<=h} C(n-1, i).
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ from __future__ import annotations
 import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .logarithmetic import BigCount
 from .rational_lp import OPTIMAL, simplex_max
@@ -43,47 +47,49 @@ MAX_RESAMPLES = 100
 MAX_ENUM_POINTS = 20
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class GeneralPositionError(RuntimeError):
     """Could not draw a general-position configuration within the retry budget."""
 
 
-def _lifted_full_rank(points) -> bool:
-    """Exact test that the vectors (x, 1) of the given points are independent.
+def _lift(point) -> tuple[int, ...]:
+    """The integer point k * (x, 1), with k the lcm of x's denominators."""
+    k = lcm(*(x.denominator for x in point))
+    return tuple(x.numerator * (k // x.denominator) for x in point) + (k,)
 
-    Gaussian elimination over Fractions; m points in dimension h need
-    m <= h + 1 to possibly pass.
+
+def _independent(rows) -> bool:
+    """Exact test that the given integer rows are linearly independent.
+
+    Fraction-free (Bareiss) elimination: after each pivot every entry is a
+    minor of the input, so dividing by the previous pivot is exact. m rows
+    of length h + 1 need m <= h + 1 to possibly pass.
     """
-    rows = [list(p) + [_ONE] for p in points]
+    rows = [list(r) for r in rows]
     m = len(rows)
-    cols = len(rows[0])
     r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
+    prev = 1
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
-        inv = _ONE / prow[c]
+        p = prow[c]
         for i in range(r + 1, m):
             f = rows[i][c]
-            if f != 0:
-                f *= inv
-                rows[i] = [v - f * pv for v, pv in zip(rows[i], prow)]
+            rows[i] = [(p * v - f * pv) // prev for v, pv in zip(rows[i], prow)]
+        prev = p
         r += 1
         if r == m:
             return True
-    return r == m
+    return False
 
 
-def _in_general_position(points, dim) -> bool:
-    m = min(dim + 1, len(points))
-    return all(
-        _lifted_full_rank(subset)
-        for subset in itertools.combinations(points, m)
-    )
+def _in_general_position(lifted, dim) -> bool:
+    m = min(dim + 1, len(lifted))
+    return all(_independent(rows) for rows in itertools.combinations(lifted, m))
 
 
 @dataclass(frozen=True)
@@ -92,13 +98,15 @@ class PointSet:
 
     General position: every subset of min(dim + 1, n) points is affinely
     independent, verified exactly at construction. ``seed`` and
-    ``resamples`` record generation provenance when applicable.
+    ``resamples`` record generation provenance when applicable. ``lifted``
+    holds each point's integer lift, the rows the rank test and the LP read.
     """
 
     dim: int
     points: tuple[tuple[Fraction, ...], ...]
     seed: int | None = None
     resamples: int = 0
+    lifted: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -111,7 +119,8 @@ class PointSet:
             raise ValueError("all points must have exactly dim coordinates")
         if len(set(pts)) != len(pts):
             raise ValueError("points must be distinct")
-        if not _in_general_position(pts, self.dim):
+        object.__setattr__(self, "lifted", tuple(_lift(p) for p in pts))
+        if not _in_general_position(self.lifted, self.dim):
             raise ValueError("points are not in general position")
 
     def __len__(self) -> int:
@@ -172,8 +181,8 @@ def generate_general_position(n: int, h: int, seed: int) -> PointSet:
     )
 
 
-def _margin_lp(points, labels):
-    """Exact max-margin program under the box |w_j| <= 1, |b| <= 1.
+def _margin_lp(lifted, labels) -> SeparabilityCertificate | None:
+    """Exact max-margin witness under the box |w_j| <= 1, |b| <= 1, or None.
 
         maximize t   s.t.   labels[i] * (w . x_i + b) >= t  for every i
 
@@ -182,36 +191,33 @@ def _margin_lp(points, labels):
     Splitting w and b into nonnegative parts and restricting t >= 0 (the
     optimum is then max(t*, 0), same decision and same witness when
     separable) makes the all-slack basis feasible: every right-hand side is
-    nonnegative, so the solve needs no feasibility phase.
+    nonnegative, so the solve needs no feasibility phase. Each point's row
+    is its constraint times the lift factor k, read off the lifted point
+    (k x, k), so the program is integer throughout.
     """
-    h = len(points[0])
+    h = len(lifted[0]) - 1
     nx = 2 * h + 3  # w+, w-, b+, b-, t
-    c = [_ZERO] * (2 * h + 2) + [_ONE]
-    A = []
-    rhs = []
-    for j in range(2 * h + 2):  # each split part capped at 1
-        row = [_ZERO] * nx
-        row[j] = _ONE
-        A.append(row)
-        rhs.append(_ONE)
-    for pt, lab in zip(points, labels):
-        row = (
-            [-lab * x for x in pt]
-            + [lab * x for x in pt]
-            + [Fraction(-lab), Fraction(lab), _ONE]
-        )
-        A.append(row)
-        rhs.append(_ZERO)
+    c = [0] * (2 * h + 2) + [1]
+    A = [[int(i == j) for i in range(nx)] for j in range(2 * h + 2)]  # parts <= 1
+    rhs = [1] * (2 * h + 2) + [0] * len(lifted)
+    for row, lab in zip(lifted, labels):
+        kx = [lab * v for v in row[:-1]]
+        k = row[-1]
+        A.append([-v for v in kx] + kx + [-lab * k, lab * k, k])
     res = simplex_max(c, A, rhs)
     if res.status != OPTIMAL:
         raise RuntimeError(
             f"margin program is box-bounded but came back {res.status!r} "
-            f"for labels {list(labels)} on points {points}"
+            f"for labels {list(labels)} on lifted points {lifted}"
         )
+    if res.objective <= 0:
+        return None
     x = res.x
-    w = tuple(x[j] - x[h + j] for j in range(h))
-    b = x[2 * h] - x[2 * h + 1]
-    return res.objective, w, b
+    return SeparabilityCertificate(
+        w=tuple(x[j] - x[h + j] for j in range(h)),
+        b=x[2 * h] - x[2 * h + 1],
+        margin=res.objective,
+    )
 
 
 def is_separable(ps: PointSet, d: Dichotomy) -> SeparabilityCertificate | None:
@@ -224,62 +230,54 @@ def is_separable(ps: PointSet, d: Dichotomy) -> SeparabilityCertificate | None:
         raise ValueError(
             f"dichotomy has {len(d.labels)} labels for {len(ps)} points"
         )
-    t, w, b = _margin_lp(ps.points, d.labels)
-    if t <= 0:
+    cert = _margin_lp(ps.lifted, d.labels)
+    if cert is None:
         return None
-    cert = SeparabilityCertificate(w=w, b=b, margin=t)
     for pt, lab in zip(ps.points, d.labels):
         signed = lab * cert.side(pt)
         if signed < cert.margin:
             raise RuntimeError(
-                f"certificate w={w}, b={b}, margin={t} fails point {pt} "
-                f"with label {lab}: signed side {signed}"
+                f"certificate w={cert.w}, b={cert.b}, margin={cert.margin} fails "
+                f"point {pt} with label {lab}: signed side {signed}"
             )
     return cert
 
 
-def _strictly_separates(w, b, point, label) -> bool:
-    s = sum((wi * xi for wi, xi in zip(w, point)), _ZERO) + b
-    return label * s > 0
-
-
-def _extend_count(points, labels, wb):
+def _extend_count(ps, labels, cert):
     """Count separable completions of a separable prefix.
 
     The prefix invariant makes pruning sound: a labeling whose prefix is
-    not separable has no separable extension. The cached hyperplane (w, b)
-    settles most extensions without touching the LP; only points landing on
-    the wrong side (or exactly on the plane) trigger a re-solve.
+    not separable has no separable extension. The cached hyperplane settles
+    most extensions without touching the LP; only points landing on the
+    wrong side (or exactly on the plane) trigger a re-solve.
     """
-    n = len(points)
     k = len(labels)
-    if k == n:
+    if k == len(ps):
         return 1
-    nxt = points[k]
+    s = cert.side(ps.points[k])
     total = 0
     for lab in (1, -1):
         labels.append(lab)
-        if _strictly_separates(wb[0], wb[1], nxt, lab):
-            total += _extend_count(points, labels, wb)
+        if lab * s > 0:
+            total += _extend_count(ps, labels, cert)
         else:
-            t, w, b = _margin_lp(points[: k + 1], labels)
-            if t > 0:
-                total += _extend_count(points, labels, (w, b))
+            fresh = _margin_lp(ps.lifted[: k + 1], labels)
+            if fresh is not None:
+                total += _extend_count(ps, labels, fresh)
         labels.pop()
     return total
 
 
-def _count_under_prefix(points, prefix):
+def _count_under_prefix(ps, prefix):
     """Separable full labelings extending ``prefix`` (0 if the prefix is not)."""
-    t, w, b = _margin_lp(points[: len(prefix)], list(prefix))
-    if t <= 0:
+    cert = _margin_lp(ps.lifted[: len(prefix)], list(prefix))
+    if cert is None:
         return 0
-    return _extend_count(points, list(prefix), (w, b))
+    return _extend_count(ps, list(prefix), cert)
 
 
 def _chunk_job(args):
-    points, prefix = args
-    return _count_under_prefix(points, prefix)
+    return _count_under_prefix(*args)
 
 
 def count_dichotomies(ps: PointSet, workers: int = 1) -> BigCount:
@@ -301,7 +299,7 @@ def count_dichotomies(ps: PointSet, workers: int = 1) -> BigCount:
         raise ValueError(f"workers must be positive, got {workers}")
 
     if workers == 1 or n < 4:
-        return 2 * _count_under_prefix(ps.points, (1,))
+        return 2 * _count_under_prefix(ps, (1,))
 
     # split on the labels of the first few free points: enough chunks to
     # keep every worker busy, each chunk a disjoint prefix subtree
@@ -309,7 +307,7 @@ def count_dichotomies(ps: PointSet, workers: int = 1) -> BigCount:
     prefixes = [
         (1,) + combo for combo in itertools.product((1, -1), repeat=depth - 1)
     ]
-    jobs = [(ps.points, pref) for pref in prefixes]
+    jobs = [(ps, pref) for pref in prefixes]
     # a fork pool starts all of its workers at once, so never more than jobs
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as ex:
         partials = list(ex.map(_chunk_job, jobs))
@@ -348,8 +346,6 @@ def verify_formula(
     """
     if n > MAX_ENUM_POINTS:
         raise ValueError(f"size guard: n={n} exceeds {MAX_ENUM_POINTS}")
-    if not 1 <= h <= 4:
-        raise ValueError(f"size guard: h={h} outside 1..4")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     master = random.Random(seed)

@@ -1,25 +1,28 @@
-"""Dense single-phase simplex over exact rationals, for b >= 0.
+"""Dense single-phase simplex on integer input with exact results, for b >= 0.
 
-Solves   maximize c.x  subject to  A x <= b,  x >= 0   exactly, so the
-sign of the optimum is never a floating-point judgement call. With every
-right-hand side nonnegative, x = 0 is feasible and the all-slack basis is
-a starting vertex, so one phase suffices. Bland's smallest-index rule
-governs both pivot choices, which rules out cycling.
+Solves   maximize c.x  subject to  A x <= b,  x >= 0   for integer c, A and
+b, exactly, so the sign of the optimum is never a floating-point judgement
+call. A caller with rational data scales each row by a positive integer
+first, which leaves the feasible region unchanged. With every right-hand
+side nonnegative, x = 0 is feasible and the all-slack basis is a starting
+vertex, so one phase suffices. Bland's smallest-index rule governs both
+pivot choices, which rules out cycling.
 
-Arithmetic uses integer pivoting: constraints are scaled to integers and
-the tableau is kept as d * T for an integer scalar d (the previous pivot
-element). One pivot on (r, c) with p = rows[r][c] maps every other row to
-(p*row - row[c]*rows[r]) / d, an exact division, and leaves the pivot row
-untouched with d' = p. Entries stay minor-sized instead of accumulating
-gcd work, which is an order of magnitude faster than Fraction tableaus for
-the small dense programs the dichotomy oracle generates.
+Arithmetic uses integer pivoting: the tableau is kept as d * T for an
+integer scalar d (the previous pivot element). One pivot on (r, c) with
+p = rows[r][c] maps every other row to (p*row - row[c]*rows[r]) / d, an
+exact division, and leaves the pivot row untouched with d' = p. Entries
+stay minor-sized instead of accumulating gcd work, which is an order of
+magnitude faster than Fraction tableaus for the small dense programs the
+dichotomy oracle generates. The optimum and the optimal point come back
+as exact Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from operator import index
 
 __all__ = ["LPResult", "simplex_max", "OPTIMAL", "UNBOUNDED"]
 
@@ -32,20 +35,6 @@ class LPResult:
     status: str
     objective: Fraction | None = None
     x: tuple[Fraction, ...] | None = None
-
-
-def _scaled_int_rows(A, b):
-    """Clear denominators row by row; scaling an inequality by a positive
-    integer changes nothing."""
-    rows = []
-    rhs = []
-    for arow, bv in zip(A, b):
-        fr = [Fraction(v) for v in arow]
-        fb = Fraction(bv)
-        k = lcm(*(f.denominator for f in fr), fb.denominator)
-        rows.append([int(f * k) for f in fr])
-        rhs.append(int(fb * k))
-    return rows, rhs
 
 
 def _pivot(rows, obj, basis, r, c, d):
@@ -89,26 +78,24 @@ def _bland_leaving(rows, col, basis):
 
 
 def simplex_max(c, A, b) -> LPResult:
-    """Maximize c.x subject to A x <= b, x >= 0 (entries coerced to Fraction).
+    """Maximize c.x subject to A x <= b, x >= 0 over integer entries.
 
-    Every entry of b must be nonnegative; a negative one raises ValueError.
+    A non-integer entry raises TypeError; a negative entry of b raises
+    ValueError.
     """
     m = len(A)
     n = len(c)
     if any(len(row) != n for row in A) or len(b) != m:
         raise ValueError("inconsistent LP dimensions")
-    c_frac = [Fraction(v) for v in c]
-    ck = lcm(*(f.denominator for f in c_frac)) if c_frac else 1
-    c_int = [int(f * ck) for f in c_frac]
-    a_int, b_int = _scaled_int_rows(A, b)
-    for i, bv in enumerate(b_int):
-        if bv < 0:
-            raise ValueError(f"right-hand side must be nonnegative, got b[{i}] = {b[i]}")
+    c_int = [index(v) for v in c]
 
     # columns: n structural | m slacks | rhs; the slacks form the start basis
     rows = []
     for i in range(m):
-        row = a_int[i] + [0] * m + [b_int[i]]
+        bv = index(b[i])
+        if bv < 0:
+            raise ValueError(f"right-hand side must be nonnegative, got b[{i}] = {bv}")
+        row = [index(v) for v in A[i]] + [0] * m + [bv]
         row[n + i] = 1
         rows.append(row)
     basis = list(range(n, n + m))
@@ -129,5 +116,5 @@ def simplex_max(c, A, b) -> LPResult:
     for i, bv in enumerate(basis):
         if bv < n:
             x[bv] = Fraction(rows[i][-1], d)
-    value = sum((cv * xv for cv, xv in zip(c_frac, x)), Fraction(0))
+    value = sum((cv * xv for cv, xv in zip(c_int, x)), Fraction(0))
     return LPResult(status=OPTIMAL, objective=value, x=tuple(x))

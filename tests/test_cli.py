@@ -267,6 +267,13 @@ class TestVerify:
             counts[w] = [t["count"] for t in json.loads(out)["result"]["trials"]]
         assert counts["1"] == counts["2"]
 
+    def test_zero_workers_exit_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--n", "4", "--h", "2", "--workers", "0"
+        )
+        assert (code, out) == (1, "")
+        assert "workers must be positive" in err
+
 
 class TestOutputContract:
     def test_json_round_trip(self, capsys):

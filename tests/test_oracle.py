@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -31,8 +32,12 @@ class TestPointSet:
             PointSet(dim=2, points=pts((0, 0), (0, 0), (1, 2)))
 
     def test_rejects_collinear_triple_in_the_plane(self):
-        with pytest.raises(ValueError):
-            PointSet(dim=2, points=pts((0, 0), (1, 1), (2, 2), (5, 0)))
+        for coords in (
+            ((0, 0), (1, 1), (2, 2), (5, 0)),
+            (("1/2", "1/2"), (1, 1), ("3/2", "3/2"), (5, 0)),
+        ):
+            with pytest.raises(ValueError):
+                PointSet(dim=2, points=pts(*coords))
 
     def test_rejects_wrong_arity(self):
         with pytest.raises(ValueError):
@@ -48,6 +53,54 @@ class TestPointSet:
     def test_rational_coordinates_allowed(self):
         ps = PointSet(dim=2, points=pts(("1/2", 0), (0, "2/3"), (4, 5)))
         assert ps.points[0][0] == F(1, 2)
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda dim: st.tuples(
+                st.just(dim),
+                st.lists(
+                    st.lists(
+                        st.builds(F, st.integers(-3, 3), st.sampled_from((1, 2, 3))),
+                        min_size=dim,
+                        max_size=dim,
+                    ),
+                    min_size=1,
+                    max_size=6,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_accepts_iff_every_subset_has_nonzero_gram_determinant(self, case):
+        # rows (x, 1) are independent iff their Gram matrix R R^T is
+        # nonsingular; its determinant by permutation expansion, over Fractions
+        dim, coords = case
+
+        def gram_det(rows):
+            g = [[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]
+            total = F(0)
+            for perm in itertools.permutations(range(len(g))):
+                inversions = sum(
+                    perm[i] > perm[j]
+                    for i, j in itertools.combinations(range(len(perm)), 2)
+                )
+                term = F(-1) ** inversions
+                for i, j in enumerate(perm):
+                    term *= g[i][j]
+                total += term
+            return total
+
+        rows = [list(p) + [F(1)] for p in coords]
+        m = min(dim + 1, len(rows))
+        expect = all(
+            gram_det(subset) != 0 for subset in itertools.combinations(rows, m)
+        )
+        try:
+            PointSet(dim=dim, points=tuple(map(tuple, coords)))
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == expect
 
 
 class TestGeneration:
@@ -222,6 +275,18 @@ class TestCountDichotomies:
     @settings(max_examples=10, deadline=None)
     def test_matches_formula_on_random_sets(self, seed):
         ps = generate_general_position(7, 2, seed)
+        assert count_dichotomies(ps) == shatter_multi(7, HypothesisSpec(2))
+
+    def test_matches_formula_with_mixed_denominators(self):
+        # the points lift with different factors k: 1, 2, 3, 12, 5, 4, 12
+        ps = PointSet(
+            dim=2,
+            points=pts(
+                (0, 0), ("1/2", 3), (2, "-1/3"), ("5/6", "1/4"), ("-7/5", 1),
+                ("3/4", -2), ("1/12", "5/3"),
+            ),
+        )
+        assert sorted({row[-1] for row in ps.lifted}) == [1, 2, 3, 4, 5, 12]
         assert count_dichotomies(ps) == shatter_multi(7, HypothesisSpec(2))
 
     def test_matches_formula_at_twelve_points(self):

@@ -75,23 +75,37 @@ class TestKnownPrograms:
 
     def test_negative_rhs_rejected(self):
         # x = 0 must be feasible: the solver starts from the all-slack basis
-        for b in ([-1, 5], [F(-1, 3)], [0, -2, 1]):
+        for b in ([-1, 5], [-3], [0, -2, 1]):
             with pytest.raises(ValueError, match="nonnegative"):
                 simplex_max([1], [[1]] * len(b), b)
 
+    def test_non_integer_entries_rejected(self):
+        # rational data is scaled to integers by the caller, never floored here
+        for c, A, b in (
+            ([F(1, 2)], [[1]], [1]),
+            ([1], [[0.5]], [1]),
+            ([1], [[1]], [F(2)]),
+            ([1.0], [[1]], [1]),
+        ):
+            with pytest.raises(TypeError):
+                simplex_max(c, A, b)
+
     def test_beale_cycling_example_terminates(self):
         # classic degenerate program that cycles without an anti-cycling rule
+        # (Beale 1955), with the objective scaled by 100 and its rows by 100,
+        # 50 and 1 to make every entry an integer
         res = simplex_max(
-            [F(3, 4), -150, F(1, 50), -6],
+            [75, -15000, 2, -600],
             [
-                [F(1, 4), -60, F(-1, 25), 9],
-                [F(1, 2), -90, F(-1, 50), 3],
+                [25, -6000, -4, 900],
+                [25, -4500, -1, 150],
                 [0, 0, 1, 0],
             ],
             [0, 0, 1],
         )
         assert res.status == OPTIMAL
-        assert res.objective == F(1, 20)
+        assert res.objective == 5
+        assert res.x == (F(1, 25), F(0), F(1), F(0))
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
