@@ -8,7 +8,9 @@ denominators: the same ray as (x, 1), so the general-position test (a
 fraction-free integer elimination) and the margin LP read the lifted rows
 unchanged. Separability is settled by an exact LP on those integer rows, so
 "margin zero" versus "margin positive" is never a floating-point judgement
-call. The resulting count is compared against 2 * sum_{i<=h} C(n-1, i).
+call. The enumeration solves each label prefix's LP once, cold at the root
+and otherwise by dual simplex from the tableau of the last solve above it.
+The resulting count is compared against 2 * sum_{i<=h} C(n-1, i).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 
 from .logarithmetic import BigCount
-from .rational_lp import OPTIMAL, simplex_max
+from .rational_lp import Tableau
 from .shattering import HypothesisSpec, shatter_multi
 
 __all__ = [
@@ -181,8 +183,17 @@ def generate_general_position(n: int, h: int, seed: int) -> PointSet:
     )
 
 
-def _margin_lp(lifted, labels) -> SeparabilityCertificate | None:
-    """Exact max-margin witness under the box |w_j| <= 1, |b| <= 1, or None.
+def _point_row(lifted_point, lab) -> list[int]:
+    """labels * (w . x + b) >= t times the lift factor k, as a row <= 0 over
+    (w+, w-, b+, b-, t), read off the lifted point (k x, k)."""
+    kx = [lab * v for v in lifted_point[:-1]]
+    k = lifted_point[-1]
+    return [-v for v in kx] + kx + [-lab * k, lab * k, k]
+
+
+def _margin_lp(lifted, labels) -> Tableau:
+    """Optimal tableau of the max-margin program under the box |w_j| <= 1,
+    |b| <= 1:
 
         maximize t   s.t.   labels[i] * (w . x_i + b) >= t  for every i
 
@@ -191,33 +202,32 @@ def _margin_lp(lifted, labels) -> SeparabilityCertificate | None:
     Splitting w and b into nonnegative parts and restricting t >= 0 (the
     optimum is then max(t*, 0), same decision and same witness when
     separable) makes the all-slack basis feasible: every right-hand side is
-    nonnegative, so the solve needs no feasibility phase. Each point's row
-    is its constraint times the lift factor k, read off the lifted point
-    (k x, k), so the program is integer throughout.
+    nonnegative, so the solve needs no feasibility phase. The 2h + 2 box
+    rows come first, then one integer row per point.
     """
     h = len(lifted[0]) - 1
     nx = 2 * h + 3  # w+, w-, b+, b-, t
     c = [0] * (2 * h + 2) + [1]
     A = [[int(i == j) for i in range(nx)] for j in range(2 * h + 2)]  # parts <= 1
+    A += [_point_row(row, lab) for row, lab in zip(lifted, labels)]
     rhs = [1] * (2 * h + 2) + [0] * len(lifted)
-    for row, lab in zip(lifted, labels):
-        kx = [lab * v for v in row[:-1]]
-        k = row[-1]
-        A.append([-v for v in kx] + kx + [-lab * k, lab * k, k])
-    res = simplex_max(c, A, rhs)
-    if res.status != OPTIMAL:
+    tab = Tableau(c, A, rhs)
+    if not tab.maximize():
         raise RuntimeError(
-            f"margin program is box-bounded but came back {res.status!r} "
+            f"margin program is box-bounded but came back unbounded "
             f"for labels {list(labels)} on lifted points {lifted}"
         )
-    if res.objective <= 0:
+    return tab
+
+
+def _plane(tab) -> tuple[int, ...] | None:
+    """The optimal plane of a solved margin tableau as integers (W, B), the
+    numerators of (w, b) over tab.d > 0; None when the margin is 0."""
+    x = tab.point()
+    h = (len(x) - 3) // 2
+    if x[-1] <= 0:
         return None
-    x = res.x
-    return SeparabilityCertificate(
-        w=tuple(x[j] - x[h + j] for j in range(h)),
-        b=x[2 * h] - x[2 * h + 1],
-        margin=res.objective,
-    )
+    return tuple(x[j] - x[h + j] for j in range(h)) + (x[2 * h] - x[2 * h + 1],)
 
 
 def is_separable(ps: PointSet, d: Dichotomy) -> SeparabilityCertificate | None:
@@ -230,9 +240,15 @@ def is_separable(ps: PointSet, d: Dichotomy) -> SeparabilityCertificate | None:
         raise ValueError(
             f"dichotomy has {len(d.labels)} labels for {len(ps)} points"
         )
-    cert = _margin_lp(ps.lifted, d.labels)
-    if cert is None:
+    tab = _margin_lp(ps.lifted, d.labels)
+    plane = _plane(tab)
+    if plane is None:
         return None
+    cert = SeparabilityCertificate(
+        w=tuple(Fraction(v, tab.d) for v in plane[:-1]),
+        b=Fraction(plane[-1], tab.d),
+        margin=Fraction(-tab.obj[-1], tab.d),
+    )
     for pt, lab in zip(ps.points, d.labels):
         signed = lab * cert.side(pt)
         if signed < cert.margin:
@@ -243,37 +259,47 @@ def is_separable(ps: PointSet, d: Dichotomy) -> SeparabilityCertificate | None:
     return cert
 
 
-def _extend_count(ps, labels, cert):
+def _extend_count(ps, labels, tab, plane):
     """Count separable completions of a separable prefix.
 
     The prefix invariant makes pruning sound: a labeling whose prefix is
-    not separable has no separable extension. The cached hyperplane settles
-    most extensions without touching the LP; only points landing on the
-    wrong side (or exactly on the plane) trigger a re-solve.
+    not separable has no separable extension. ``tab`` is the optimal
+    tableau of the last solve up this branch, over the first few points,
+    and ``plane`` its optimal (W, B). The plane settles most extensions
+    without touching the LP; a point landing on the wrong side (or exactly
+    on the plane) triggers a re-solve: a copy of ``tab`` gains the rows of
+    the points it has not seen, up to this one, and dual simplex takes it
+    from the old basis to the new optimum.
     """
     k = len(labels)
     if k == len(ps):
         return 1
-    s = cert.side(ps.points[k])
+    s = sum(p * v for p, v in zip(plane, ps.lifted[k]))
     total = 0
     for lab in (1, -1):
         labels.append(lab)
         if lab * s > 0:
-            total += _extend_count(ps, labels, cert)
+            total += _extend_count(ps, labels, tab, plane)
         else:
-            fresh = _margin_lp(ps.lifted[: k + 1], labels)
-            if fresh is not None:
-                total += _extend_count(ps, labels, fresh)
+            fresh = tab.copy()
+            # the first 2h + 2 rows are the box, one row per point follows
+            for i in range(len(tab.rows) - 2 * ps.dim - 2, k + 1):
+                fresh.add_row(_point_row(ps.lifted[i], labels[i]))
+            fresh.reoptimize()
+            fresh_plane = _plane(fresh)
+            if fresh_plane is not None:
+                total += _extend_count(ps, labels, fresh, fresh_plane)
         labels.pop()
     return total
 
 
 def _count_under_prefix(ps, prefix):
     """Separable full labelings extending ``prefix`` (0 if the prefix is not)."""
-    cert = _margin_lp(ps.lifted[: len(prefix)], list(prefix))
-    if cert is None:
+    tab = _margin_lp(ps.lifted[: len(prefix)], prefix)
+    plane = _plane(tab)
+    if plane is None:
         return 0
-    return _extend_count(ps, list(prefix), cert)
+    return _extend_count(ps, list(prefix), tab, plane)
 
 
 def _chunk_job(args):

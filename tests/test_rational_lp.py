@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shatterbound.rational_lp import OPTIMAL, UNBOUNDED, simplex_max
+from shatterbound.rational_lp import OPTIMAL, UNBOUNDED, Tableau, simplex_max
 
 
 def brute_force_lp_max(c, A, b):
@@ -147,3 +147,97 @@ class TestAgainstVertexEnumeration:
         for row, bv in zip(A, b):
             assert sum(F(a) * xi for a, xi in zip(row, res.x)) <= bv
         assert sum(F(ci) * xi for ci, xi in zip(c, res.x)) == best
+
+
+def _holds(A, b, x):
+    return all(xi >= 0 for xi in x) and all(
+        sum(F(a) * xi for a, xi in zip(row, x)) <= bv for row, bv in zip(A, b)
+    )
+
+
+def _through(u, X):
+    """A row a with a . X = 0 built from u; u itself when X = 0."""
+    j = max(range(len(X)), key=lambda i: abs(X[i]))
+    if X[j] == 0:
+        return u
+    a = [X[j] * v for v in u]
+    a[j] = -sum(v * Xi for i, (v, Xi) in enumerate(zip(u, X)) if i != j)
+    return a
+
+
+@st.composite
+def lp_with_cuts(draw):
+    """A small_lp plus rows a.x <= 0 to add after it is solved. A ``cut``
+    row is turned so that the first optimum does not satisfy it strictly; a
+    ``tight`` one passes through that optimum, which then meets it with
+    equality (slack 0), so the dual pivots start degenerate."""
+    c, A, b = draw(small_lp())
+    n = len(c)
+    cuts = []
+    for _ in range(draw(st.integers(1, 3))):
+        u = [draw(st.integers(-4, 4)) for _ in range(n)]
+        cuts.append((u, draw(st.sampled_from(("free", "cut", "tight")))))
+    return c, A, b, cuts
+
+
+class TestDualReoptimization:
+    @given(lp_with_cuts())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_cold_solve_of_the_full_program(self, case):
+        c, A, b, cuts = case
+        first = simplex_max(c, A, b)
+        assert first.status == OPTIMAL
+        solved = Tableau(c, A, b)
+        assert solved.maximize()
+        tab = solved.copy()
+        rows = []
+        for u, kind in cuts:
+            if kind == "cut" and sum(a * xi for a, xi in zip(u, first.x)) < 0:
+                u = [-a for a in u]
+            elif kind == "tight":
+                u = _through(u, solved.point())
+                assert sum(a * xi for a, xi in zip(u, first.x)) == 0
+            rows.append(u)
+            tab.add_row(u)
+        tab.reoptimize()
+        full_A, full_b = A + rows, b + [0] * len(rows)
+        cold = simplex_max(c, full_A, full_b)
+        x = tuple(F(v, tab.d) for v in tab.point())
+        assert tab.d > 0
+        assert _holds(full_A, full_b, x)
+        assert sum(F(ci) * xi for ci, xi in zip(c, x)) == cold.objective
+        assert F(-tab.obj[-1], tab.d) == cold.objective
+        # the copy's pivots leave the first solve's tableau as it was
+        assert solved.point() == [v * solved.d for v in first.x]
+
+    def test_beale_rows_added_to_a_box(self):
+        # the box optimum (1, 0, 1, 0) violates both of Beale's degenerate
+        # rows; dual simplex must reach his optimum without cycling
+        c = [75, -15000, 2, -600]
+        box = [[int(i == j) for i in range(4)] for j in range(4)]
+        tab = Tableau(c, box, [1, 1, 1, 1])
+        assert tab.maximize()
+        assert tab.point() == [tab.d, 0, tab.d, 0]
+        tab.add_row([25, -6000, -4, 900])
+        tab.add_row([25, -4500, -1, 150])
+        tab.reoptimize()
+        assert F(-tab.obj[-1], tab.d) == 5
+        assert tuple(F(v, tab.d) for v in tab.point()) == (F(1, 25), 0, 1, 0)
+
+    def test_broken_preconditions_raise(self):
+        # a tableau with an improving column is not dual feasible
+        with pytest.raises(RuntimeError, match="reduced costs"):
+            Tableau([1], [[1]], [1]).reoptimize()
+        # a negative basic value that no entry can repair reads as infeasible
+        tab = Tableau([-1], [[1]], [0])
+        tab.rows[0] = [1, -1]
+        with pytest.raises(RuntimeError, match="infeasible"):
+            tab.reoptimize()
+
+    def test_added_rows_are_checked(self):
+        tab = Tableau([1], [[1]], [1])
+        assert tab.maximize()
+        with pytest.raises(ValueError):
+            tab.add_row([1, 2])
+        with pytest.raises(TypeError):
+            tab.add_row([F(1, 2)])
