@@ -21,7 +21,6 @@ from .logarithmetic import (
     log_sum,
 )
 from .oracle import (
-    Dichotomy,
     PointSet,
     SeparabilityCertificate,
     count_dichotomies,
@@ -46,7 +45,6 @@ from .shattering import (
 __all__ = [
     "BigCount",
     "CurveRow",
-    "Dichotomy",
     "HypothesisSpec",
     "LogNum",
     "NoBracketError",

@@ -81,13 +81,13 @@ def solve_min_n_trace(
 ) -> tuple[int, BracketTrace]:
     """Smallest n with delta_bound(n) <= ln(delta), plus the search trace.
 
-    ln delta(n) rises while the polynomial count dominates and falls once
-    the exponential wins, and its increments are strictly decreasing, so it
-    is unimodal; at n=1 it starts above ln 4 > 0 > ln(delta), which makes
-    "bound <= target" a monotone predicate along the doubling ladder.
-    Exponential expansion finds a bracket without derivatives;
-    integer bisection pins the crossing; a geometric tail probe re-checks
-    that the bound stays below target past the answer.
+    The search walks the doubling ladder n = 1, 2, 4, ... to the first
+    point at or below the target. At n = 1 the log-bound is
+    ln 4 - eps^2/4 > 0 > ln(delta), so that point has a predecessor above
+    the target and the two bracket the crossing. Integer bisection then
+    pins the crossing. The bound need not be monotone, so the answer is
+    checked, not assumed: n* - 1 must lie above the target and 12
+    geometric tail probes past n* at or below it, else RuntimeError.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -96,16 +96,12 @@ def solve_min_n_trace(
     expansion: list[tuple[int, float]] = []
     lo, hi = None, None
     n = 1
-    prev_log = None
     while n <= ceiling:
         cur = delta_bound(n, eps, spec).log_value
         expansion.append((n, cur))
-        decreasing = prev_log is not None and cur < prev_log
-        if cur <= target and (decreasing or n == 1):
-            hi = n
-            lo = max(1, n // 2)
+        if cur <= target:
+            hi, lo = n, n // 2
             break
-        prev_log = cur
         n *= 2
     if hi is None:
         last = delta_bound(ceiling, eps, spec).log_value

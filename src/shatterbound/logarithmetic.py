@@ -55,10 +55,6 @@ class LogNum:
     def zero(cls) -> "LogNum":
         return cls(float("-inf"))
 
-    @classmethod
-    def one(cls) -> "LogNum":
-        return cls(0.0)
-
     def is_zero(self) -> bool:
         return self.log_value == float("-inf")
 

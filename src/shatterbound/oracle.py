@@ -28,7 +28,6 @@ from .shattering import HypothesisSpec, shatter_multi
 
 __all__ = [
     "PointSet",
-    "Dichotomy",
     "SeparabilityCertificate",
     "GeneralPositionError",
     "VerifyTrial",
@@ -130,20 +129,6 @@ class PointSet:
 
 
 @dataclass(frozen=True)
-class Dichotomy:
-    """A +/-1 label per point."""
-
-    labels: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(l not in (-1, 1) for l in self.labels):
-            raise ValueError("labels must be -1 or +1")
-
-    def negate(self) -> "Dichotomy":
-        return Dichotomy(tuple(-l for l in self.labels))
-
-
-@dataclass(frozen=True)
 class SeparabilityCertificate:
     """Explicit witness (w, b) with labels[i] * (w . x_i + b) >= margin > 0."""
 
@@ -230,17 +215,19 @@ def _plane(tab) -> tuple[int, ...] | None:
     return tuple(x[j] - x[h + j] for j in range(h)) + (x[2 * h] - x[2 * h + 1],)
 
 
-def is_separable(ps: PointSet, d: Dichotomy) -> SeparabilityCertificate | None:
-    """Certificate for a strictly separating hyperplane, or None.
+def is_separable(ps: PointSet, labels: tuple[int, ...]) -> SeparabilityCertificate | None:
+    """Certificate for a hyperplane strictly separating the points labelled
+    +1 from those labelled -1, or None.
 
-    The certificate is re-validated against every point before being
-    returned, so a caller can trust it without reproving anything.
+    ``labels`` holds one +1 or -1 per point. The certificate is re-validated
+    against every point before being returned, so a caller can trust it
+    without reproving anything.
     """
-    if len(d.labels) != len(ps):
-        raise ValueError(
-            f"dichotomy has {len(d.labels)} labels for {len(ps)} points"
-        )
-    tab = _margin_lp(ps.lifted, d.labels)
+    if len(labels) != len(ps):
+        raise ValueError(f"got {len(labels)} labels for {len(ps)} points")
+    if any(l not in (-1, 1) for l in labels):
+        raise ValueError(f"labels must be -1 or +1, got {labels}")
+    tab = _margin_lp(ps.lifted, labels)
     plane = _plane(tab)
     if plane is None:
         return None
@@ -249,7 +236,7 @@ def is_separable(ps: PointSet, d: Dichotomy) -> SeparabilityCertificate | None:
         b=Fraction(plane[-1], tab.d),
         margin=Fraction(-tab.obj[-1], tab.d),
     )
-    for pt, lab in zip(ps.points, d.labels):
+    for pt, lab in zip(ps.points, labels):
         signed = lab * cert.side(pt)
         if signed < cert.margin:
             raise RuntimeError(

@@ -21,27 +21,22 @@ on (r, c) with p = rows[r][c] maps every other row to
 every entry is a minor of the input; the pivot row is multiplied by s and
 d' = |p|. Entries stay minor-sized instead of accumulating gcd work, which
 is an order of magnitude faster than Fraction tableaus for the small dense
-programs the dichotomy oracle generates. The optimum and the optimal point
-come back as exact Fractions.
+programs the dichotomy oracle generates. The optimum is -obj[-1] / d and
+the optimal point ``point()`` / d, exact integers over one d.
 
-Two drivers share that pivot. ``Tableau.maximize`` is primal simplex from a
-primal-feasible tableau; ``simplex_max`` runs it from the all-slack basis.
-``Tableau.reoptimize`` is dual simplex from a dual-feasible one (Lemke
-1954): an optimal tableau that gains rows a.x <= 0 through
-``Tableau.add_row`` stays dual feasible, so dual pivots from the old basis
-reach the new optimum without solving from scratch.
+``Tableau`` is the one entry point; two drivers share its pivot.
+``Tableau.maximize`` is primal simplex from the all-slack basis the
+constructor builds. ``Tableau.reoptimize`` is dual simplex from a
+dual-feasible tableau (Lemke 1954): an optimal tableau that gains rows
+a.x <= 0 through ``Tableau.add_row`` stays dual feasible, so dual pivots
+from the old basis reach the new optimum without solving from scratch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import index
 
-__all__ = ["LPResult", "Tableau", "simplex_max", "OPTIMAL", "UNBOUNDED"]
-
-OPTIMAL = "optimal"
-UNBOUNDED = "unbounded"
+__all__ = ["Tableau"]
 
 
 class Tableau:
@@ -56,7 +51,9 @@ class Tableau:
     __slots__ = ("n", "rows", "obj", "basic", "nonbasic", "d")
 
     def __init__(self, c, A, b):
-        """The all-slack dictionary of  max c.x  s.t.  A x <= b, x >= 0."""
+        """The all-slack dictionary of  max c.x  s.t.  A x <= b, x >= 0.
+
+        Non-integer entries raise TypeError, a negative b[i] ValueError."""
         m = len(A)
         n = len(c)
         if any(len(row) != n for row in A) or len(b) != m:
@@ -212,26 +209,3 @@ def _pivot(t: Tableau, r: int, c: int) -> None:
     t.basic[r], t.nonbasic[c] = t.nonbasic[c], t.basic[r]
     t.d = p
 
-
-@dataclass(frozen=True)
-class LPResult:
-    status: str
-    objective: Fraction | None = None
-    x: tuple[Fraction, ...] | None = None
-
-
-def simplex_max(c, A, b) -> LPResult:
-    """Maximize c.x subject to A x <= b, x >= 0 over integer entries.
-
-    A non-integer entry raises TypeError; a negative entry of b raises
-    ValueError.
-    """
-    t = Tableau(c, A, b)
-    if not t.maximize():
-        return LPResult(status=UNBOUNDED)
-    d = t.d
-    return LPResult(
-        status=OPTIMAL,
-        objective=Fraction(-t.obj[-1], d),
-        x=tuple(Fraction(v, d) for v in t.point()),
-    )

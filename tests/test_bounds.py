@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -114,6 +115,28 @@ class TestSolveMinN:
         assert proc.returncode == 0, proc.stderr
         assert "re-crossed the target after n*=9587" in proc.stdout
         assert "at n=21570" in proc.stdout
+
+    def test_calculator_families_cross_the_target_once(self):
+        # an exact scan of every n up to n* on each calculator family
+        # (h in 1..4, p in 1, 4, 16) whose n* is at most 40 000 at eps = 0.2:
+        # the bound stays above the target until n* and meets it there, so
+        # the first ladder point at or below the target brackets the one
+        # crossing and every earlier ladder point lies above it
+        scanned = 0
+        for h, p in itertools.product((1, 2, 3, 4), (1, 4, 16)):
+            spec = HypothesisSpec(h, p)
+            n_star, trace = solve_min_n_trace(0.01, 0.2, spec)
+            if n_star > 40_000:
+                continue
+            scanned += 1
+            assert all(
+                delta_bound(n, 0.2, spec).log_value > LN_001 for n in range(1, n_star)
+            )
+            assert delta_bound(n_star, 0.2, spec).log_value <= LN_001
+            *above, (last_n, last) = trace.expansion
+            assert all(v > LN_001 for _, v in above)
+            assert last <= LN_001 and last_n == trace.bracket[1]
+        assert scanned == 10
 
     def test_trace_expansion_is_doubling(self):
         _, trace = solve_min_n_trace(0.01, 0.05, HypothesisSpec(2, 4))

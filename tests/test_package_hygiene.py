@@ -1,0 +1,31 @@
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import shatterbound
+
+SRC = Path(shatterbound.__file__).resolve().parent
+MODULES = sorted(
+    p.stem for p in SRC.glob("*.py") if p.stem not in ("__init__", "__main__")
+)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips asserts, so an invariant the library relies on must
+    # raise an exception instead
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} asserts at lines {lines}"
+
+
+@pytest.mark.parametrize(
+    "name", ["shatterbound"] + [f"shatterbound.{m}" for m in MODULES]
+)
+def test_every_export_resolves(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    missing = [attr for attr in exported if not hasattr(module, attr)]
+    assert missing == [], f"{name}.__all__ names {missing}"

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shatterbound.rational_lp import OPTIMAL, UNBOUNDED, Tableau, simplex_max
+from shatterbound.rational_lp import Tableau
+
+
+def solve(c, A, b):
+    """The optimal tableau of max c.x s.t. A x <= b, x >= 0, with its
+    optimum and optimal point as exact Fractions; None when unbounded."""
+    tab = Tableau(c, A, b)
+    if not tab.maximize():
+        return None
+    d = tab.d
+    return tab, F(-tab.obj[-1], d), tuple(F(v, d) for v in tab.point())
 
 
 def brute_force_lp_max(c, A, b):
@@ -59,25 +69,23 @@ def brute_force_lp_max(c, A, b):
 
 class TestKnownPrograms:
     def test_axis_boxes(self):
-        res = simplex_max([1, 1], [[1, 0], [0, 1]], [1, 2])
-        assert res.status == OPTIMAL
-        assert res.objective == 3
-        assert res.x == (F(1), F(2))
+        _, obj, x = solve([1, 1], [[1, 0], [0, 1]], [1, 2])
+        assert obj == 3
+        assert x == (F(1), F(2))
 
     def test_fractional_vertex(self):
-        res = simplex_max([2, 3], [[1, 2], [3, 1]], [4, 5])
-        assert res.objective == F(33, 5)
-        assert res.x == (F(6, 5), F(7, 5))
+        _, obj, x = solve([2, 3], [[1, 2], [3, 1]], [4, 5])
+        assert obj == F(33, 5)
+        assert x == (F(6, 5), F(7, 5))
 
     def test_unbounded(self):
-        res = simplex_max([1], [[-1]], [1])
-        assert res.status == UNBOUNDED
+        assert Tableau([1], [[-1]], [1]).maximize() is False
 
     def test_negative_rhs_rejected(self):
         # x = 0 must be feasible: the solver starts from the all-slack basis
         for b in ([-1, 5], [-3], [0, -2, 1]):
             with pytest.raises(ValueError, match="nonnegative"):
-                simplex_max([1], [[1]] * len(b), b)
+                Tableau([1], [[1]] * len(b), b)
 
     def test_non_integer_entries_rejected(self):
         # rational data is scaled to integers by the caller, never floored here
@@ -88,13 +96,13 @@ class TestKnownPrograms:
             ([1.0], [[1]], [1]),
         ):
             with pytest.raises(TypeError):
-                simplex_max(c, A, b)
+                Tableau(c, A, b)
 
     def test_beale_cycling_example_terminates(self):
         # classic degenerate program that cycles without an anti-cycling rule
         # (Beale 1955), with the objective scaled by 100 and its rows by 100,
         # 50 and 1 to make every entry an integer
-        res = simplex_max(
+        _, obj, x = solve(
             [75, -15000, 2, -600],
             [
                 [25, -6000, -4, 900],
@@ -103,13 +111,12 @@ class TestKnownPrograms:
             ],
             [0, 0, 1],
         )
-        assert res.status == OPTIMAL
-        assert res.objective == 5
-        assert res.x == (F(1, 25), F(0), F(1), F(0))
+        assert obj == 5
+        assert x == (F(1, 25), F(0), F(1), F(0))
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            simplex_max([1, 2], [[1]], [1])
+            Tableau([1, 2], [[1]], [1])
 
 
 @st.composite
@@ -139,14 +146,15 @@ class TestAgainstVertexEnumeration:
         c, A, b = lp
         feasible, best = brute_force_lp_max(c, A, b)
         assert feasible  # b >= 0 makes x = 0 a vertex
-        res = simplex_max(c, A, b)
-        assert res.status == OPTIMAL
-        assert res.objective == best
+        res = solve(c, A, b)
+        assert res is not None
+        _, obj, x = res
+        assert obj == best
         # reported point must be feasible and achieve the value
-        assert all(xi >= 0 for xi in res.x)
+        assert all(xi >= 0 for xi in x)
         for row, bv in zip(A, b):
-            assert sum(F(a) * xi for a, xi in zip(row, res.x)) <= bv
-        assert sum(F(ci) * xi for ci, xi in zip(c, res.x)) == best
+            assert sum(F(a) * xi for a, xi in zip(row, x)) <= bv
+        assert sum(F(ci) * xi for ci, xi in zip(c, x)) == best
 
 
 def _holds(A, b, x):
@@ -185,30 +193,27 @@ class TestDualReoptimization:
     @settings(max_examples=300, deadline=None)
     def test_matches_cold_solve_of_the_full_program(self, case):
         c, A, b, cuts = case
-        first = simplex_max(c, A, b)
-        assert first.status == OPTIMAL
-        solved = Tableau(c, A, b)
-        assert solved.maximize()
+        solved, _, first_x = solve(c, A, b)
         tab = solved.copy()
         rows = []
         for u, kind in cuts:
-            if kind == "cut" and sum(a * xi for a, xi in zip(u, first.x)) < 0:
+            if kind == "cut" and sum(a * xi for a, xi in zip(u, first_x)) < 0:
                 u = [-a for a in u]
             elif kind == "tight":
                 u = _through(u, solved.point())
-                assert sum(a * xi for a, xi in zip(u, first.x)) == 0
+                assert sum(a * xi for a, xi in zip(u, first_x)) == 0
             rows.append(u)
             tab.add_row(u)
         tab.reoptimize()
         full_A, full_b = A + rows, b + [0] * len(rows)
-        cold = simplex_max(c, full_A, full_b)
+        _, cold_obj, _ = solve(c, full_A, full_b)
         x = tuple(F(v, tab.d) for v in tab.point())
         assert tab.d > 0
         assert _holds(full_A, full_b, x)
-        assert sum(F(ci) * xi for ci, xi in zip(c, x)) == cold.objective
-        assert F(-tab.obj[-1], tab.d) == cold.objective
+        assert sum(F(ci) * xi for ci, xi in zip(c, x)) == cold_obj
+        assert F(-tab.obj[-1], tab.d) == cold_obj
         # the copy's pivots leave the first solve's tableau as it was
-        assert solved.point() == [v * solved.d for v in first.x]
+        assert solved.point() == [v * solved.d for v in first_x]
 
     def test_beale_rows_added_to_a_box(self):
         # the box optimum (1, 0, 1, 0) violates both of Beale's degenerate
