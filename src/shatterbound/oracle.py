@@ -3,14 +3,15 @@
 Independent check of the counting formula: generate n points in general
 position in dimension h, enumerate label vectors in {-1,+1}^n, and decide
 for each one whether some affine hyperplane strictly separates the classes.
-Each point x is also kept as its integer lift k * (x, 1), k the lcm of x's
-denominators: the same ray as (x, 1), so the general-position test (a
-fraction-free integer elimination) and the margin LP read the lifted rows
-unchanged. Separability is settled by an exact LP on those integer rows, so
-"margin zero" versus "margin positive" is never a floating-point judgement
-call. The enumeration solves each label prefix's LP once, cold at the root
-and otherwise by dual simplex from the tableau of the last solve above it.
-The resulting count is compared against 2 * sum_{i<=h} C(n-1, i).
+Each point x is also kept as its integer lift k * (x, 1), the same ray as
+(x, 1), with k the lcm of x's denominators. The general-position test shares
+one fraction-free elimination of the lifted rows along each subset prefix
+and takes one dot product with the depth-h normal per (h+1)-subset. An exact
+LP on the same rows settles separability, so "margin zero" versus "margin
+positive" is never a floating-point judgement call. The enumeration solves
+each label prefix's LP once, cold at the root and otherwise by dual simplex
+from the tableau of the last solve above it. The resulting count is compared
+against 2 * sum_{i<=h} C(n-1, i).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .logarithmetic import BigCount
 from .rational_lp import Tableau
@@ -60,37 +62,46 @@ def _lift(point) -> tuple[int, ...]:
     return tuple(x.numerator * (k // x.denominator) for x in point) + (k,)
 
 
-def _independent(rows) -> bool:
-    """Exact test that the given integer rows are linearly independent.
+def _extend(rows, cols, d, y):
+    """Form of the rows plus integer row y, or None when y is in their span.
+    A form (rows, cols, D) has row i equal to D at pivot cols[i] and 0 at
+    the other pivots; its entries are minors of the input (Bareiss 1968),
+    so the division by the old D is exact."""
+    z = [d * v for v in y]
+    for row, c in zip(rows, cols):
+        z = [a - y[c] * b for a, b in zip(z, row)]
+    c = next((j for j, v in enumerate(z) if v), None)
+    if c is None:
+        return None
+    rows = [[(z[c] * a - row[c] * b) // d for a, b in zip(row, z)] for row in rows]
+    return rows + [z], cols + (c,), z[c]
 
-    Fraction-free (Bareiss) elimination: after each pivot every entry is a
-    minor of the input, so dividing by the previous pivot is exact. m rows
-    of length h + 1 need m <= h + 1 to possibly pass.
-    """
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    r = 0
-    prev = 1
-    for c in range(len(rows[0])):
-        piv = next((i for i in range(r, m) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i in range(r + 1, m):
-            f = rows[i][c]
-            rows[i] = [(p * v - f * pv) // prev for v, pv in zip(rows[i], prow)]
-        prev = p
-        r += 1
-        if r == m:
-            return True
-    return False
+
+def _side(normal, y) -> int:
+    """normal . y, a multiple of det[S; y]: zero exactly when y is on S's plane."""
+    return sum(map(mul, normal, y))
 
 
 def _in_general_position(lifted, dim) -> bool:
+    """Every min(dim + 1, n) lifted rows are independent (see PointSet)."""
     m = min(dim + 1, len(lifted))
-    return all(_independent(rows) for rows in itertools.combinations(lifted, m))
+
+    def walk(rows, cols, d, start, depth):
+        if depth == m:  # n <= dim: the n rows are independent
+            return True
+        if depth == dim:
+            free = (set(range(dim + 1)) - set(cols)).pop()
+            normal = [d] * (dim + 1)
+            for row, c in zip(rows, cols):
+                normal[c] = -row[free]
+            return all(_side(normal, y) for y in lifted[start:])
+        for j in range(start, len(lifted) - m + depth + 1):  # room for a full subset
+            child = _extend(rows, cols, d, lifted[j])
+            if child is None or not walk(*child, j + 1, depth + 1):
+                return False
+        return True
+
+    return walk((), (), 1, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -98,9 +109,13 @@ class PointSet:
     """n points with exact rational coordinates in general position.
 
     General position: every subset of min(dim + 1, n) points is affinely
-    independent, verified exactly at construction. ``seed`` and
+    independent, verified exactly at construction by one depth-first walk
+    over index subsets. A child adds one later row to its parent's
+    fraction-free elimination, so subsets sharing a prefix share its work;
+    at depth dim the elimination gives the integer normal of the plane
+    through the subset, one dot product per (dim + 1)-subset. ``seed`` and
     ``resamples`` record generation provenance when applicable. ``lifted``
-    holds each point's integer lift, the rows the rank test and the LP read.
+    holds each point's integer lift, read by the position test and the LP.
     """
 
     dim: int

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -19,6 +20,22 @@ from shatterbound.shattering import HypothesisSpec, shatter_multi
 
 def pts(*coords):
     return tuple(tuple(F(x) for x in p) for p in coords)
+
+
+def gram_rank(rows):
+    """Rank of the Gram matrix R R^T of Fraction rows, by Gaussian elimination."""
+    g = [[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]
+    rank = 0
+    for c in range(len(g)):
+        piv = next((i for i in range(rank, len(g)) if g[i][c]), None)
+        if piv is None:
+            continue
+        g[rank], g[piv] = g[piv], g[rank]
+        for i in range(rank + 1, len(g)):
+            f = g[i][c] / g[rank][c]
+            g[i] = [a - f * b for a, b in zip(g[i], g[rank])]
+        rank += 1
+    return rank
 
 
 LINE3 = PointSet(dim=1, points=pts((0,), (1,), (2,)))
@@ -101,6 +118,109 @@ class TestPointSet:
             accepted = False
         assert accepted == expect
 
+    @given(
+        st.lists(
+            st.lists(
+                st.builds(F, st.integers(-1, 1), st.sampled_from((1, 2))),
+                min_size=4,
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=7,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_accepts_iff_every_subset_is_independent_in_four_dimensions(self, coords):
+        # the generator's largest dimension; the reference takes each Gram
+        # matrix's rank by Gaussian elimination over Fractions
+        rows = [list(p) + [F(1)] for p in coords]
+        m = min(5, len(rows))
+        expect = all(
+            gram_rank(subset) == m for subset in itertools.combinations(rows, m)
+        )
+        try:
+            PointSet(dim=4, points=tuple(map(tuple, coords)))
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == expect
+
+    @pytest.mark.parametrize(
+        "dim, coords, accepted",
+        [
+            # the first h points have first coordinate 0: their elimination
+            # has no pivot in the leading column
+            (3, [(0, 1, 2), (0, 3, -1), (0, -2, 5), (1, 1, 1), (2, -3, 7)], True),
+            (2, [(0, 1), (0, 2), (0, 5), (1, 1)], False),
+            # the first four lie on z = x + y, the others are general
+            (
+                3,
+                [(1, 2, 3), (2, -1, 1), (-1, 3, 2), (4, 1, 5), (7, -2, 1), (-3, -5, 4)],
+                False,
+            ),
+            (3, [(1, 2, 3), (2, -1, 1), (-1, 3, 2), (7, -2, 1), (-3, -5, 4)], True),
+            # five points on x4 = x1 + 2 x2 - x3 + 1 among general ones
+            (
+                4,
+                [
+                    (1, 0, 0, 2), (0, 1, 0, 3), (0, 0, 1, 0), (2, 1, 1, 4),
+                    (-1, 2, 3, 1), (3, -2, 5, 7), (-4, 1, -1, 6),
+                ],
+                False,
+            ),
+            (
+                4,
+                [
+                    (1, 0, 0, 2), (0, 1, 0, 3), (0, 0, 1, 0), (2, 1, 1, 4),
+                    (3, -2, 5, 7), (-4, 1, -1, 6),
+                ],
+                True,
+            ),
+            # n <= dim: the whole set must be independent
+            (4, [(0, 0, 0, 0), (1, 2, 3, 4), (2, 4, 6, 8)], False),
+            (4, [(0, 0, 0, 0), (1, 2, 3, 4), (2, 4, 6, 9)], True),
+        ],
+    )
+    def test_degenerate_fixtures(self, dim, coords, accepted):
+        rows = [[F(x) for x in p] + [F(1)] for p in coords]
+        m = min(dim + 1, len(rows))
+        assert accepted == all(
+            gram_rank(subset) == m for subset in itertools.combinations(rows, m)
+        )
+        if accepted:
+            PointSet(dim=dim, points=pts(*coords))
+        else:
+            with pytest.raises(ValueError, match="general position"):
+                PointSet(dim=dim, points=pts(*coords))
+
+    def test_one_elimination_per_prefix_and_one_dot_product_per_subset(
+        self, monkeypatch
+    ):
+        # machine-independent cost of the position test on an accepted
+        # (18, 3) set: each of the C(18, 4) = 3060 four-point subsets costs
+        # one sign test against its prefix's normal, and a row elimination
+        # runs once per prefix with room for a full subset, C(15, 1) +
+        # C(16, 2) + C(17, 3) = 815, where an elimination per subset would
+        # run 3060 of them
+        import shatterbound.oracle as om
+
+        ps = generate_general_position(18, 3, 0)
+        calls = {"_side": 0, "_extend": 0}
+
+        def counted(name):
+            fn = getattr(om, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(om, name, wrapper)
+
+        counted("_side")
+        counted("_extend")
+        assert om._in_general_position(ps.lifted, 3)
+        assert calls == {"_side": math.comb(18, 4), "_extend": 815}
+
 
 class TestGeneration:
     def test_deterministic_per_seed(self):
@@ -124,6 +244,19 @@ class TestGeneration:
         ps = generate_general_position(3, 1, 7)
         vals = [p[0] for p in ps.points]
         assert len(set(vals)) == 3
+
+    def test_resamples_are_pinned_on_real_draws(self):
+        # every redraw is decided by the position test, so a test that
+        # accepts or rejects differently on generated sets moves these
+        resampled = {
+            s: generate_general_position(20, 1, s).resamples for s in range(60)
+        }
+        assert {s: r for s, r in resampled.items() if r} == {
+            20: 1, 21: 1, 25: 1, 31: 1, 35: 1, 44: 1, 50: 2, 51: 1, 59: 1,
+        }
+        for n, h in ((18, 3), (12, 4)):
+            for seed in range(10):
+                assert generate_general_position(n, h, seed).resamples == 0
 
     def test_single_point(self):
         ps = generate_general_position(1, 2, 3)
