@@ -8,10 +8,13 @@ Each point x is also kept as its integer lift k * (x, 1), the same ray as
 one fraction-free elimination of the lifted rows along each subset prefix
 and takes one dot product with the depth-h normal per (h+1)-subset. An exact
 LP on the same rows settles separability, so "margin zero" versus "margin
-positive" is never a floating-point judgement call. The enumeration solves
-each label prefix's LP once, cold at the root and otherwise by dual simplex
-from the tableau of the last solve above it. The resulting count is compared
-against 2 * sum_{i<=h} C(n-1, i).
+positive" is never a floating-point judgement call. The enumeration decides
+each label prefix once, cold at the root and otherwise by dual simplex from
+the tableau of the last solve above it. That tableau holds only the rows of
+points some plane on the branch failed; the other points are checked by an
+exact sign test against the new plane and join the LP only when they fail
+it (row generation, Kelley 1960). The resulting count is compared against
+2 * sum_{i<=h} C(n-1, i).
 """
 
 from __future__ import annotations
@@ -78,7 +81,9 @@ def _extend(rows, cols, d, y):
 
 
 def _side(normal, y) -> int:
-    """normal . y, a multiple of det[S; y]: zero exactly when y is on S's plane."""
+    """normal . y: for the normal of an h-subset S, a multiple of det[S; y],
+    zero exactly when y is on S's plane; for an LP plane (W, B), the side
+    of y times its lift factor."""
     return sum(map(mul, normal, y))
 
 
@@ -192,29 +197,28 @@ def _point_row(lifted_point, lab) -> list[int]:
 
 
 def _margin_lp(lifted, labels) -> Tableau:
-    """Optimal tableau of the max-margin program under the box |w_j| <= 1,
-    |b| <= 1:
+    """Optimal tableau of the max-margin program in the L1 ball
+    sum_j |w_j| + |b| <= 1:
 
         maximize t   s.t.   labels[i] * (w . x_i + b) >= t  for every i
 
-    Any separating hyperplane can be rescaled into the box with its margin
+    Any separating hyperplane can be rescaled into the ball with its margin
     still positive, so the sign of the optimum decides strict separability.
     Splitting w and b into nonnegative parts and restricting t >= 0 (the
     optimum is then max(t*, 0), same decision and same witness when
     separable) makes the all-slack basis feasible: every right-hand side is
-    nonnegative, so the solve needs no feasibility phase. The 2h + 2 box
-    rows come first, then one integer row per point.
+    nonnegative, so the solve needs no feasibility phase. One row bounds
+    the sum of the parts by 1, then one integer row per point follows.
     """
     h = len(lifted[0]) - 1
-    nx = 2 * h + 3  # w+, w-, b+, b-, t
-    c = [0] * (2 * h + 2) + [1]
-    A = [[int(i == j) for i in range(nx)] for j in range(2 * h + 2)]  # parts <= 1
-    A += [_point_row(row, lab) for row, lab in zip(lifted, labels)]
-    rhs = [1] * (2 * h + 2) + [0] * len(lifted)
-    tab = Tableau(c, A, rhs)
+    c = [0] * (2 * h + 2) + [1]  # w+, w-, b+, b-, t
+    A = [[1] * (2 * h + 2) + [0]] + [
+        _point_row(row, lab) for row, lab in zip(lifted, labels)
+    ]
+    tab = Tableau(c, A, [1] + [0] * len(lifted))
     if not tab.maximize():
         raise RuntimeError(
-            f"margin program is box-bounded but came back unbounded "
+            f"margin program is bounded by its L1 row but came back unbounded "
             f"for labels {list(labels)} on lifted points {lifted}"
         )
     return tab
@@ -222,7 +226,9 @@ def _margin_lp(lifted, labels) -> Tableau:
 
 def _plane(tab) -> tuple[int, ...] | None:
     """The optimal plane of a solved margin tableau as integers (W, B), the
-    numerators of (w, b) over tab.d > 0; None when the margin is 0."""
+    numerators of (w, b) over tab.d > 0; None when the margin is 0. The
+    plane has positive margin on the points whose rows the tableau holds,
+    and says nothing about the others."""
     x = tab.point()
     h = (len(x) - 3) // 2
     if x[-1] <= 0:
@@ -261,36 +267,50 @@ def is_separable(ps: PointSet, labels: tuple[int, ...]) -> SeparabilityCertifica
     return cert
 
 
-def _extend_count(ps, labels, tab, plane):
+def _extend_count(ps, labels, tab, plane, mask):
     """Count separable completions of a separable prefix.
 
     The prefix invariant makes pruning sound: a labeling whose prefix is
     not separable has no separable extension. ``tab`` is the optimal
-    tableau of the last solve up this branch, over the first few points,
-    and ``plane`` its optimal (W, B). The plane settles most extensions
+    tableau of the last solve up this branch and holds the rows of the
+    points set in ``mask``; ``plane``, its optimal (W, B), strictly
+    separates every point of the prefix. The plane settles most extensions
     without touching the LP; a point landing on the wrong side (or exactly
-    on the plane) triggers a re-solve: a copy of ``tab`` gains the rows of
-    the points it has not seen, up to this one, and dual simplex takes it
-    from the old basis to the new optimum.
+    on the plane) triggers a re-solve: a copy of ``tab`` gains that point's
+    row and dual simplex takes it from the old basis to the new optimum.
+    Margin 0 on a subset of the prefix's rows proves the prefix inseparable.
+    Otherwise the new plane is tested exactly on the prefix points whose
+    rows are left out; those it fails join the tableau and the copy is
+    re-solved, until the plane separates every point of the prefix.
     """
     k = len(labels)
     if k == len(ps):
         return 1
-    s = sum(p * v for p, v in zip(plane, ps.lifted[k]))
+    lifted = ps.lifted
+    s = _side(plane, lifted[k])
     total = 0
     for lab in (1, -1):
         labels.append(lab)
         if lab * s > 0:
-            total += _extend_count(ps, labels, tab, plane)
+            total += _extend_count(ps, labels, tab, plane, mask)
         else:
-            fresh = tab.copy()
-            # the first 2h + 2 rows are the box, one row per point follows
-            for i in range(len(tab.rows) - 2 * ps.dim - 2, k + 1):
-                fresh.add_row(_point_row(ps.lifted[i], labels[i]))
-            fresh.reoptimize()
-            fresh_plane = _plane(fresh)
+            fresh, fresh_mask, failed = tab.copy(), mask, [k]
+            while failed:
+                for i in failed:
+                    fresh.add_row(_point_row(lifted[i], labels[i]))
+                    fresh_mask |= 1 << i
+                fresh.reoptimize()
+                fresh_plane = _plane(fresh)
+                if fresh_plane is None:
+                    break
+                failed = [
+                    i
+                    for i in range(k)
+                    if not fresh_mask >> i & 1
+                    and labels[i] * _side(fresh_plane, lifted[i]) <= 0
+                ]
             if fresh_plane is not None:
-                total += _extend_count(ps, labels, fresh, fresh_plane)
+                total += _extend_count(ps, labels, fresh, fresh_plane, fresh_mask)
         labels.pop()
     return total
 
@@ -301,7 +321,7 @@ def _count_under_prefix(ps, prefix):
     plane = _plane(tab)
     if plane is None:
         return 0
-    return _extend_count(ps, list(prefix), tab, plane)
+    return _extend_count(ps, list(prefix), tab, plane, (1 << len(prefix)) - 1)
 
 
 def _chunk_job(args):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shatterbound.oracle import (
@@ -40,6 +40,71 @@ def gram_rank(rows):
 
 LINE3 = PointSet(dim=1, points=pts((0,), (1,), (2,)))
 XOR = PointSet(dim=2, points=pts((0, 0), (1, 1), (0, 1), (1, 0)))
+# the points lift with different factors k: 1, 2, 3, 12, 5, 4, 12
+MIXED = PointSet(
+    dim=2,
+    points=pts(
+        (0, 0), ("1/2", 3), (2, "-1/3"), ("5/6", "1/4"), ("-7/5", 1),
+        ("3/4", -2), ("1/12", "5/3"),
+    ),
+)
+
+
+def lp_counters(monkeypatch):
+    """Live counts of the LP work done through shatterbound.rational_lp:
+    calls of Tableau.maximize, reoptimize and copy, pivots, and rows rewritten
+    summed over all pivots (every other row plus the objective row)."""
+    import shatterbound.rational_lp as lp
+
+    calls = {"maximize": 0, "reoptimize": 0, "copy": 0, "pivot": 0, "rows": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    pivot_fn = lp._pivot
+
+    def pivot(t, r, c):
+        calls["pivot"] += 1
+        calls["rows"] += len(t.rows)
+        return pivot_fn(t, r, c)
+
+    for method in ("maximize", "reoptimize", "copy"):
+        fn = getattr(lp.Tableau, method)
+        monkeypatch.setattr(lp.Tableau, method, counted(method, fn))
+    monkeypatch.setattr(lp, "_pivot", pivot)
+    return calls
+
+
+def brute_force_count(ps):
+    """Labelings of ps that the cold is_separable certifies, one LP each;
+    every certificate must lie in the L1 ball sum |w_j| + |b| <= 1."""
+    total = 0
+    for labels in itertools.product((1, -1), repeat=len(ps)):
+        cert = is_separable(ps, labels)
+        if cert is not None:
+            assert sum(abs(wi) for wi in cert.w) + abs(cert.b) <= 1
+            total += 1
+    return total
+
+
+@st.composite
+def small_general_position(draw):
+    """Up to 8 points with small integer coordinates in dimension 1 to 3,
+    drawn until they are in general position."""
+    h, n = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    coords = draw(
+        st.lists(
+            st.tuples(*[st.integers(-6, 6)] * h), min_size=n, max_size=n, unique=True
+        )
+    )
+    try:
+        return PointSet(dim=h, points=pts(*coords))
+    except ValueError:
+        assume(False)
 
 
 class TestPointSet:
@@ -298,6 +363,7 @@ class TestSeparability:
         assert cert is not None
         assert all(abs(wi) <= 1 for wi in cert.w)
         assert abs(cert.b) <= 1
+        assert sum(abs(wi) for wi in cert.w) + abs(cert.b) <= 1
         for pt, lab in zip(ps.points, d):
             assert lab * cert.side(pt) >= cert.margin > 0
 
@@ -410,16 +476,8 @@ class TestCountDichotomies:
         assert count_dichotomies(ps) == shatter_multi(7, HypothesisSpec(2))
 
     def test_matches_formula_with_mixed_denominators(self):
-        # the points lift with different factors k: 1, 2, 3, 12, 5, 4, 12
-        ps = PointSet(
-            dim=2,
-            points=pts(
-                (0, 0), ("1/2", 3), (2, "-1/3"), ("5/6", "1/4"), ("-7/5", 1),
-                ("3/4", -2), ("1/12", "5/3"),
-            ),
-        )
-        assert sorted({row[-1] for row in ps.lifted}) == [1, 2, 3, 4, 5, 12]
-        assert count_dichotomies(ps) == shatter_multi(7, HypothesisSpec(2))
+        assert sorted({row[-1] for row in MIXED.lifted}) == [1, 2, 3, 4, 5, 12]
+        assert count_dichotomies(MIXED) == shatter_multi(7, HypothesisSpec(2))
 
     def test_matches_formula_at_twelve_points(self):
         ps = generate_general_position(12, 3, 5)
@@ -429,31 +487,36 @@ class TestCountDichotomies:
         ps = generate_general_position(16, 3, 0)
         assert count_dichotomies(ps) == shatter_multi(16, HypothesisSpec(3))
 
-    def test_warm_starts_keep_the_solves_and_halve_the_pivots(self, monkeypatch):
-        # machine-independent cost of the (12, 3, seed 5) count: the cold
-        # solver took 562 solves and 8354 pivots; re-optimising the tableau of
-        # the enclosing prefix decides the same labelings with the same
-        # solves in 1758 pivots, pinned exactly so that any change to the
-        # pivot path shows
-        import shatterbound.rational_lp as lp
-
-        calls = {"solve": 0, "pivot": 0}
-
-        def counted(key, fn):
-            def wrapper(*args):
-                calls[key] += 1
-                return fn(*args)
-
-            return wrapper
-
-        for driver in ("maximize", "reoptimize"):
-            fn = getattr(lp.Tableau, driver)
-            monkeypatch.setattr(lp.Tableau, driver, counted("solve", fn))
-        monkeypatch.setattr(lp, "_pivot", counted("pivot", lp._pivot))
+    def test_row_generation_keeps_the_decisions_and_cuts_the_rows(self, monkeypatch):
+        # machine-independent cost of the (12, 3, seed 5) count, pinned
+        # exactly so that any change to the pivot path shows. The tree fixes
+        # the decisions: one cold solve, one copy per re-solved prefix. With
+        # 2h + 2 box rows and every prefix row in each copy it took 561
+        # reoptimize rounds, 1758 pivots and 31730 rows rewritten.
+        calls = lp_counters(monkeypatch)
         ps = generate_general_position(12, 3, 5)
         assert count_dichotomies(ps) == 464
-        assert calls["solve"] == 562
-        assert calls["pivot"] == 1758
+        assert calls == {
+            "maximize": 1, "copy": 561, "reoptimize": 699, "pivot": 1317, "rows": 9849
+        }
+
+    @given(small_general_position())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_on_small_sets(self, ps):
+        assert count_dichotomies(ps) == brute_force_count(ps)
+
+    @pytest.mark.parametrize(
+        "ps",
+        [MIXED, generate_general_position(8, 4, 2)],
+        ids=["mixed-denominators", "8-points-dim-4"],
+    )
+    def test_matches_brute_force_after_second_rounds(self, ps, monkeypatch):
+        # on these sets some re-solved plane fails a point left out of the
+        # tableau, whose row joins for another round: more rounds than copies
+        expect = brute_force_count(ps)
+        calls = lp_counters(monkeypatch)
+        assert count_dichotomies(ps) == expect
+        assert calls["reoptimize"] > calls["copy"]
 
 
 class TestVerifyFormula:
