@@ -12,6 +12,7 @@ Exit codes: 0 success/PASS, 1 usage error, 2 verification FAIL,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -284,7 +285,10 @@ def _render(record: OutputRecord, fmt: str) -> None:
     # csv handled inside cmd_curve, which is the only command carrying a table
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argparse tree, built on first use and shared by every later call;
+    parsing only reads it, so no state passes from one call to the next."""
     parser = _Parser(prog="shatterbound", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

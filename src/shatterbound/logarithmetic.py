@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+_NEG_INF = float("-inf")
 
 # Arbitrary-precision nonnegative integer; python ints are already exact
 # under +, * and ** so no wrapper type is needed.
@@ -95,17 +96,23 @@ def log_binomial(n: int, k: int) -> LogNum:
     return LogNum(_log_binomial_row(n, min(k, n - k))[-1])
 
 
-def log_sum(a: LogNum, b: LogNum) -> LogNum:
-    """ln(e^a + e^b), factoring out the larger term so nothing overflows.
+def _log_add(a: float, b: float) -> float:
+    """ln(e^a + e^b) on plain floats, -inf standing for zero.
 
-    Identity used: ln(x + y) = ln x + ln(1 + y/x) with x >= y.
+    Factors out the larger term so nothing overflows:
+    ln(x + y) = ln x + ln(1 + y/x) with x >= y.
     """
-    if a.is_zero():
+    if a == _NEG_INF:
         return b
-    if b.is_zero():
+    if b == _NEG_INF:
         return a
-    hi, lo = (a.log_value, b.log_value) if a.log_value >= b.log_value else (b.log_value, a.log_value)
-    return LogNum(hi + math.log1p(math.exp(lo - hi)))
+    hi, lo = (a, b) if a >= b else (b, a)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+def log_sum(a: LogNum, b: LogNum) -> LogNum:
+    """ln(e^a + e^b); the LogNum face of ``_log_add``."""
+    return LogNum(_log_add(a.log_value, b.log_value))
 
 
 def log_pow(a: LogNum, p: int) -> LogNum:

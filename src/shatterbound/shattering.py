@@ -20,6 +20,7 @@ from .logarithmetic import (
     LN2,
     BigCount,
     LogNum,
+    _log_add,
     _log_binomial_row,
     exact_binomial,
     log_pow,
@@ -79,12 +80,26 @@ def shatter_multi(n: int, spec: HypothesisSpec) -> BigCount:
 
 
 def shatter_log(n: int, spec: HypothesisSpec) -> LogNum:
-    """Log-domain twin of shatter_multi, for n where the count has hundreds of digits."""
+    """Log-domain twin of shatter_multi, for n where the count has hundreds of digits.
+
+    Folds the terms p * ln C(n-1, i) on plain floats and wraps only the
+    result. ValueError when the log count itself leaves the float range,
+    which only a huge p can bring about.
+    """
     _require_positive_n(n)
-    acc = LogNum.zero()
-    for ln_c in _log_binomial_row(n - 1, min(spec.h, n - 1)):
-        acc = log_sum(acc, log_pow(LogNum(ln_c), spec.p))
-    return LogNum(LN2 + acc.log_value)
+    p = spec.p
+    acc = -math.inf
+    try:
+        for ln_c in _log_binomial_row(n - 1, min(spec.h, n - 1)):
+            # a zero log is the term 1 for every p, even one past the float range
+            acc = _log_add(acc, p * ln_c if ln_c else 0.0)
+    except OverflowError:  # an int p past the float range times ln_c > 0
+        acc = math.inf
+    if not math.isfinite(acc):
+        raise ValueError(
+            f"log count is not a finite float at n={n}, h={spec.h}, p={p}"
+        )
+    return LogNum(LN2 + acc)
 
 
 def complement_count(n: int, h: int) -> BigCount:

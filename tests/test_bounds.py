@@ -40,6 +40,11 @@ class TestDeltaBound:
         with pytest.raises(ValueError):
             delta_bound(10, 1.0, HypothesisSpec(1, 1))
 
+    @pytest.mark.parametrize("p", [10**308, 10**400], ids=["1e308", "1e400"])
+    def test_log_count_past_the_float_range_raises(self, p):
+        with pytest.raises(ValueError, match="n=100, h=3"):
+            delta_bound(100, 0.5, HypothesisSpec(3, p))
+
 
 class TestSolveMinN:
     def test_headline_example(self):
@@ -118,16 +123,14 @@ class TestSolveMinN:
 
     def test_calculator_families_cross_the_target_once(self):
         # an exact scan of every n up to n* on each calculator family
-        # (h in 1..4, p in 1, 4, 16) whose n* is at most 40 000 at eps = 0.2:
-        # the bound stays above the target until n* and meets it there, so
-        # the first ladder point at or below the target brackets the one
-        # crossing and every earlier ladder point lies above it
+        # (h in 1..4, p in 1, 4, 16) at eps = 0.2, the largest n* being
+        # 66 595 at (4, 16): the bound stays above the target until n* and
+        # meets it there, so the first ladder point at or below the target
+        # brackets the one crossing and every earlier ladder point lies above it
         scanned = 0
         for h, p in itertools.product((1, 2, 3, 4), (1, 4, 16)):
             spec = HypothesisSpec(h, p)
             n_star, trace = solve_min_n_trace(0.01, 0.2, spec)
-            if n_star > 40_000:
-                continue
             scanned += 1
             assert all(
                 delta_bound(n, 0.2, spec).log_value > LN_001 for n in range(1, n_star)
@@ -136,7 +139,12 @@ class TestSolveMinN:
             *above, (last_n, last) = trace.expansion
             assert all(v > LN_001 for _, v in above)
             assert last <= LN_001 and last_n == trace.bracket[1]
-        assert scanned == 10
+        assert scanned == 12
+
+    @pytest.mark.parametrize("p", [10**308, 10**400], ids=["1e308", "1e400"])
+    def test_log_count_past_the_float_range_raises(self, p):
+        with pytest.raises(ValueError, match="log count is not a finite float"):
+            solve_min_n(0.01, 0.05, HypothesisSpec(3, p))
 
     def test_trace_expansion_is_doubling(self):
         _, trace = solve_min_n_trace(0.01, 0.05, HypothesisSpec(2, 4))
@@ -149,6 +157,11 @@ class TestSolveMaxEps:
     def test_headline_inversion(self):
         got = solve_max_eps(1026780, 0.01, HypothesisSpec(3, 16))
         assert abs(got - 0.05) <= 0.001
+
+    @pytest.mark.parametrize("p", [10**308, 10**400], ids=["1e308", "1e400"])
+    def test_log_count_past_the_float_range_raises(self, p):
+        with pytest.raises(ValueError, match="log count is not a finite float"):
+            solve_max_eps(100, 0.01, HypothesisSpec(3, p))
 
     def test_saturated_case_is_vacuous(self):
         got = solve_max_eps(10, 0.5, HypothesisSpec(9, 1))

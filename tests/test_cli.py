@@ -1,17 +1,36 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from shatterbound.cli import OutputRecord, log_spaced_grid, main, sci_from_log
+from shatterbound.cli import (
+    OutputRecord,
+    build_parser,
+    log_spaced_grid,
+    main,
+    sci_from_log,
+)
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*args):
+    """A fresh interpreter that imports the package from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 class TestCoef:
@@ -310,14 +329,7 @@ class TestOutputContract:
         assert sci_from_log(-1000.0) == "5.07596e-435"
 
     def test_module_entrypoint_runs(self):
-        import subprocess
-        import sys
-
-        env = dict(os.environ)
-        proc = subprocess.run(
-            [sys.executable, "-m", "shatterbound", "coef", "--n", "4", "--h", "2"],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_python("-m", "shatterbound", "coef", "--n", "4", "--h", "2")
         assert proc.returncode == 0
         assert "count: 14" in proc.stdout
 
@@ -336,6 +348,47 @@ class TestOutputContract:
         assert code == 1
         assert out == ""
         assert "hyperplane count p must be positive" in err
+
+
+class TestHugeP:
+    # ln C(99, i) * p leaves the float range: at 10**308 the terms overflow
+    # to inf, at 10**400 p does not convert to a float at all
+    @pytest.mark.parametrize("p", [10**308, 10**400], ids=["1e308", "1e400"])
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--n", "100", "--eps", "0.5", "--h", "3"],
+        ["solve-eps", "--n", "100", "--delta", "0.01", "--h", "3"],
+        ["solve-n", "--delta", "0.01", "--eps", "0.05", "--h", "3"],
+    ])
+    def test_log_count_past_the_float_range_exit_1(self, capsys, argv, p):
+        code, out, err = run_cli(capsys, *argv, "--p", str(p))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: log count is not a finite float at n=")
+        assert f", h=3, p={p}\n" in err
+
+
+class TestParserIsBuiltOnce:
+    def test_same_parser_every_call(self):
+        assert build_parser() is build_parser()
+
+    def test_import_builds_nothing(self):
+        proc = run_python(
+            "-c",
+            "import shatterbound.cli as c; print(c.build_parser.cache_info().currsize)",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
+
+    def test_no_state_carries_between_calls(self, capsys):
+        argv = ["bound", "--n", "4", "--eps", "0.5", "--h", "2", "--format", "json"]
+        first = run_python("-m", "shatterbound", *argv)
+        assert first.returncode == 0, first.stderr
+        assert run_cli(capsys, "bound", "--n", "four")[0] == 1
+        code, out, _ = run_cli(capsys, *argv, "--clamp")
+        assert code == 0 and '"clamp": true' in out
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and '"clamp": false' in out
+        assert out == first.stdout
 
 
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())

@@ -4,7 +4,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shatterbound.logarithmetic import exact_binomial, log_binomial, log_of_bigcount
+from shatterbound.bounds import delta_bound
+from shatterbound.logarithmetic import (
+    LN2,
+    LogNum,
+    _log_binomial_row,
+    exact_binomial,
+    log_binomial,
+    log_of_bigcount,
+    log_pow,
+    log_sum,
+)
 from shatterbound.shattering import (
     HypothesisSpec,
     asymptotic_condition,
@@ -101,6 +111,46 @@ class TestShatterLog:
         exact = log_of_bigcount(shatter_multi(n, spec)).log_value
         got = shatter_log(n, spec).log_value
         assert abs(got - exact) <= 1e-9 * max(1.0, abs(exact))
+
+
+def _lognum_fold(n, spec):
+    """ln N(n) composed from LogNum steps, the fold shatter_log runs on floats."""
+    acc = LogNum.zero()
+    for ln_c in _log_binomial_row(n - 1, min(spec.h, n - 1)):
+        acc = log_sum(acc, log_pow(LogNum(ln_c), spec.p))
+    return LN2 + acc.log_value
+
+
+FOLD_GRID = [
+    (n, h, p)
+    for n in (1, 2, 3, 10, 10**6, 2**62, 2**63 - 1)
+    for h in range(5)
+    for p in (1, 4, 16)
+]
+
+
+class TestFloatFold:
+    @pytest.mark.parametrize("n,h,p", FOLD_GRID)
+    def test_bit_identical_to_lognum_composition(self, n, h, p):
+        spec = HypothesisSpec(h, p)
+        old = _lognum_fold(n, spec)
+        assert shatter_log(n, spec).log_value == old
+        for eps in (0.001, 0.05, 0.5):
+            assert delta_bound(n, eps, spec).log_value == LN2 + old - n * eps * eps / 4.0
+
+    @pytest.mark.parametrize("p", [10**308, 10**400], ids=["1e308", "1e400"])
+    def test_log_count_past_the_float_range_raises(self, p):
+        # 10**308 fits a float and the terms overflow to inf, where inf - inf
+        # would be NaN; 10**400 does not convert to a float at all
+        with pytest.raises(ValueError, match=rf"n=100, h=3, p={p}$"):
+            shatter_log(100, HypothesisSpec(3, p))
+
+    @pytest.mark.parametrize("n,h", [(1, 3), (2, 3), (100, 0)])
+    def test_huge_p_with_unit_binomials_stays_exact(self, n, h):
+        # every C(n-1, i) in the sum is 1, so the count is 2(min(h, n-1) + 1)
+        spec = HypothesisSpec(h, 10**400)
+        got = shatter_log(n, spec).log_value
+        assert got == pytest.approx(math.log(shatter_multi(n, spec)), abs=1e-15)
 
 
 @st.composite
