@@ -277,12 +277,12 @@ def _plain_lines(record: OutputRecord) -> list[str]:
     return lines
 
 
-def _render(record: OutputRecord, fmt: str) -> None:
+def _render(record: OutputRecord, fmt: str) -> str:
     if fmt == "json":
-        sys.stdout.write(record.to_json() + "\n")
-    elif fmt == "plain":
-        sys.stdout.write("\n".join(_plain_lines(record)) + "\n")
-    # csv handled inside cmd_curve, which is the only command carrying a table
+        return record.to_json() + "\n"
+    if fmt == "plain":
+        return "\n".join(_plain_lines(record)) + "\n"
+    return ""  # csv handled inside cmd_curve, the only command carrying a table
 
 
 @functools.cache
@@ -361,6 +361,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         record, code = _HANDLERS[args.command](args)
+        # a count past CPython's int-to-str digit limit is a ValueError here
+        text = _render(record, args.format)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -370,7 +372,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _render(record, args.format)
+    sys.stdout.write(text)
     return code
 
 

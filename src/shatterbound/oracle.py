@@ -5,15 +5,16 @@ position in dimension h, enumerate label vectors in {-1,+1}^n, and decide
 for each one whether some affine hyperplane strictly separates the classes.
 Each point x is also kept as its integer lift k * (x, 1), the same ray as
 (x, 1), with k the lcm of x's denominators. The general-position test shares
-one fraction-free elimination of the lifted rows along each subset prefix
-and takes one dot product with the depth-h normal per (h+1)-subset. An exact
-LP on the same rows settles separability, so "margin zero" versus "margin
-positive" is never a floating-point judgement call. The enumeration decides
-each label prefix once, cold at the root and otherwise by dual simplex from
-the tableau of the last solve above it. That tableau holds only the rows of
-points some plane on the branch failed; the other points are checked by an
-exact sign test against the new plane and join the LP only when they fail
-it (row generation, Kelley 1960). The resulting count is compared against
+one fraction-free elimination of the lifted rows along each prefix of h - 1
+points and decides every (h+1)-subset through it from the later rows'
+projections onto its 2-D complement. An exact LP on the same rows settles
+separability, so "margin zero" versus "margin positive" is never a
+floating-point judgement call. The enumeration decides each label prefix
+once, cold at the root and otherwise by dual simplex from the tableau of the
+last solve above it. That tableau holds only the rows of points some plane
+on the branch failed; the other points are checked by an exact sign test
+against the new plane and join the LP only when they fail it (row
+generation, Kelley 1960). The resulting count is compared against
 2 * sum_{i<=h} C(n-1, i).
 """
 
@@ -24,7 +25,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .logarithmetic import BigCount
@@ -81,9 +82,9 @@ def _extend(rows, cols, d, y):
 
 
 def _side(normal, y) -> int:
-    """normal . y: for the normal of an h-subset S, a multiple of det[S; y],
-    zero exactly when y is on S's plane; for an LP plane (W, B), the side
-    of y times its lift factor."""
+    """normal . y: in the position test, one coordinate of y's projection
+    onto the complement of a prefix; for an LP plane (W, B), the side of y
+    times its lift factor."""
     return sum(map(mul, normal, y))
 
 
@@ -92,14 +93,25 @@ def _in_general_position(lifted, dim) -> bool:
     m = min(dim + 1, len(lifted))
 
     def walk(rows, cols, d, start, depth):
-        if depth == m:  # n <= dim: the n rows are independent
+        if depth == m:  # n < dim: the n rows are independent
             return True
-        if depth == dim:
-            free = (set(range(dim + 1)) - set(cols)).pop()
-            normal = [d] * (dim + 1)
+        if depth == dim - 1:
+            # u, v span the prefix's complement: prefix + {y, z} is independent
+            # iff (u.y, v.y) and (u.z, v.z) are nonzero and not parallel
+            f, g = (j for j in range(dim + 1) if j not in cols)
+            u, v = [0] * (dim + 1), [0] * (dim + 1)
+            u[f] = v[g] = d
             for row, c in zip(rows, cols):
-                normal[c] = -row[free]
-            return all(_side(normal, y) for y in lifted[start:])
+                u[c], v[c] = -row[f], -row[g]
+            seen = set()
+            for y in lifted[start:]:
+                a, b = _side(u, y), _side(v, y)
+                # the direction, signed so that its first nonzero entry is positive
+                k = gcd(a, b) if (a, b) > (0, 0) else -gcd(a, b)
+                if not k or (a // k, b // k) in seen:
+                    return False
+                seen.add((a // k, b // k))
+            return True
         for j in range(start, len(lifted) - m + depth + 1):  # room for a full subset
             child = _extend(rows, cols, d, lifted[j])
             if child is None or not walk(*child, j + 1, depth + 1):
@@ -115,10 +127,11 @@ class PointSet:
 
     General position: every subset of min(dim + 1, n) points is affinely
     independent, verified exactly at construction by one depth-first walk
-    over index subsets. A child adds one later row to its parent's
-    fraction-free elimination, so subsets sharing a prefix share its work;
-    at depth dim the elimination gives the integer normal of the plane
-    through the subset, one dot product per (dim + 1)-subset. ``seed`` and
+    over index subsets (so the points are distinct). A child adds one later
+    row to its parent's fraction-free elimination, so subsets sharing a
+    prefix share its work; at depth dim - 1 the elimination gives two
+    integer vectors spanning the complement of the prefix, and each later
+    row is projected onto them once, two dot products per row. ``seed`` and
     ``resamples`` record generation provenance when applicable. ``lifted``
     holds each point's integer lift, read by the position test and the LP.
     """
@@ -138,8 +151,6 @@ class PointSet:
             raise ValueError("point set must be nonempty")
         if any(len(p) != self.dim for p in pts):
             raise ValueError("all points must have exactly dim coordinates")
-        if len(set(pts)) != len(pts):
-            raise ValueError("points must be distinct")
         object.__setattr__(self, "lifted", tuple(_lift(p) for p in pts))
         if not _in_general_position(self.lifted, self.dim):
             raise ValueError("points are not in general position")

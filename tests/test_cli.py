@@ -367,6 +367,32 @@ class TestHugeP:
         assert f", h=3, p={p}\n" in err
 
 
+class TestCountPastTheDigitLimit:
+    # CPython refuses to turn an int of more digits than its limit (4300 by
+    # default) into a decimal string. The count 2 * sum C(99, i)**p, i <= 3,
+    # has 4297 digits at p = 827, 4303 at p = 828 and 52 000 at p = 10000.
+    @pytest.mark.parametrize("argv", [
+        ["coef", "--n", "100", "--h", "3", "--p", "828"],
+        ["coef", "--n", "100", "--h", "3", "--p", "10000", "--format", "json"],
+    ])
+    def test_exit_1_with_one_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"({sys.get_int_max_str_digits()} digits)" in err
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_count_below_the_limit_prints(self, capsys, fmt):
+        code, out, _ = run_cli(
+            capsys, "coef", "--n", "100", "--h", "3", "--p", "827", "--format", fmt
+        )
+        assert code == 0
+        count = 2 * sum(math.comb(99, i) ** 827 for i in range(4))
+        assert len(str(count)) == 4297
+        assert str(count) in out
+
+
 class TestParserIsBuiltOnce:
     def test_same_parser_every_call(self):
         assert build_parser() is build_parser()

@@ -244,6 +244,18 @@ class TestPointSet:
             # n <= dim: the whole set must be independent
             (4, [(0, 0, 0, 0), (1, 2, 3, 4), (2, 4, 6, 8)], False),
             (4, [(0, 0, 0, 0), (1, 2, 3, 4), (2, 4, 6, 9)], True),
+            # a collinear triple whose first point lies between the other
+            # two: the later points project onto the prefix's complement in
+            # opposite directions, which are parallel
+            (2, [(1, 1), (0, 0), (2, 2), (5, 0)], False),
+            (2, [("1/3", "1/3"), (0, 0), ("1/2", "1/2"), (5, 0)], False),
+            # n == dim: only the last row is projected, and its projection
+            # is zero exactly when the set is dependent
+            (4, [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)], True),
+            (4, [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)], False),
+            # one dimension, lift factors 2, 3, 1 and 6; 4/8 repeats 1/2
+            (1, [("1/2",), ("2/3",), (3,), ("-5/6",)], True),
+            (1, [("1/2",), ("2/3",), (3,), ("-5/6",), ("4/8",)], False),
         ],
     )
     def test_degenerate_fixtures(self, dim, coords, accepted):
@@ -258,15 +270,41 @@ class TestPointSet:
             with pytest.raises(ValueError, match="general position"):
                 PointSet(dim=dim, points=pts(*coords))
 
-    def test_one_elimination_per_prefix_and_one_dot_product_per_subset(
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda dim: st.tuples(
+                st.just(dim),
+                st.lists(
+                    st.tuples(*[st.integers(-2, 2)] * dim), min_size=1, max_size=9
+                ),
+            )
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_iff_every_subset_is_independent_on_a_small_grid(self, case):
+        # coordinates in -2..2 make repeated points, collinear triples and
+        # flat subsets common, in every dimension the generator supports
+        dim, coords = case
+        rows = [[F(x) for x in p] + [F(1)] for p in coords]
+        m = min(dim + 1, len(rows))
+        expect = all(
+            gram_rank(subset) == m for subset in itertools.combinations(rows, m)
+        )
+        try:
+            PointSet(dim=dim, points=pts(*coords))
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == expect
+
+    def test_one_elimination_per_short_prefix_and_one_projection_per_later_row(
         self, monkeypatch
     ):
         # machine-independent cost of the position test on an accepted
-        # (18, 3) set: each of the C(18, 4) = 3060 four-point subsets costs
-        # one sign test against its prefix's normal, and a row elimination
-        # runs once per prefix with room for a full subset, C(15, 1) +
-        # C(16, 2) + C(17, 3) = 815, where an elimination per subset would
-        # run 3060 of them
+        # (18, 3) set: a row elimination runs once per prefix of at most
+        # two points with room for a full subset, C(15, 1) + C(16, 2) = 135,
+        # and each two-point prefix (i, j) projects the 17 - j later rows
+        # with two dot products each, 800 projections in all
         import shatterbound.oracle as om
 
         ps = generate_general_position(18, 3, 0)
@@ -284,7 +322,9 @@ class TestPointSet:
         counted("_side")
         counted("_extend")
         assert om._in_general_position(ps.lifted, 3)
-        assert calls == {"_side": math.comb(18, 4), "_extend": 815}
+        projections = sum(j * (17 - j) for j in range(1, 16))
+        assert projections == 800
+        assert calls == {"_side": 2 * projections, "_extend": 135}
 
 
 class TestGeneration:
