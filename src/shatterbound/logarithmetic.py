@@ -10,6 +10,7 @@ against the exact integer it represents.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 __all__ = [
@@ -71,6 +72,22 @@ def exact_binomial(n: int, k: int) -> BigCount:
     costs microseconds.
     """
     return math.comb(n, k)
+
+
+def _binomial_row(m: int, k: int) -> Iterator[BigCount]:
+    """C(m, i) for i = 0..k, needs 0 <= k <= m; the exact twin of
+    _log_binomial_row, yielded so that a sum over a long row holds one
+    term at a time.
+
+    Built by C(m, i) = C(m, i-1) * (m-i+1) // i, exact because
+    i * C(m, i) = (m-i+1) * C(m, i-1): one short multiply and divide per
+    term, where a math.comb per term would redo the whole product.
+    """
+    c = 1
+    yield c
+    for i in range(1, k + 1):
+        c = c * (m - i + 1) // i
+        yield c
 
 
 def _log_binomial_row(m: int, k: int) -> list[float]:

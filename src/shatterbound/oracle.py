@@ -14,7 +14,11 @@ once, cold at the root and otherwise by dual simplex from the tableau of the
 last solve above it. That tableau holds only the rows of points some plane
 on the branch failed; the other points are checked by an exact sign test
 against the new plane and join the LP only when they fail it (row
-generation, Kelley 1960). The resulting count is compared against
+generation, Kelley 1960). A re-solve that ends at margin 0 hands back
+its Farkas multipliers, a sub-labeling of at most h + 2 points whose
+weighted lifted rows cancel exactly (Kirchberger 1903); it is checked in
+integers and kept with its negation, and a later prefix that agrees with
+either is pruned without an LP. The resulting count is compared against
 2 * sum_{i<=h} C(n-1, i).
 """
 
@@ -278,21 +282,72 @@ def is_separable(ps: PointSet, labels: tuple[int, ...]) -> SeparabilityCertifica
     return cert
 
 
-def _extend_count(ps, labels, tab, plane, mask):
+def _radon_patterns(tab, order, labels, lifted):
+    """The two sign patterns that a margin-0 tableau proves inseparable.
+
+    ``tab`` is an optimal margin tableau with optimum 0 whose point rows
+    hold, after the L1 row, the points ``order`` in append order; the last
+    of ``labels`` is the point k the prefix just gained. The Farkas
+    certificate is read off the reduced costs: y_i = -obj[j] > 0 for each
+    nonbasic slack of a point row. The optimum 0 gives the L1 row a
+    multiplier of 0, so sum_i y_i * labels[i] * lifted[i] = 0: the
+    support's +1 and -1 points have crossing convex hulls (Radon, 1921),
+    and any labeling that agrees with the support's labels, or with their
+    negation, is inseparable. The sum is checked in integers, and the
+    support must hold k, because the prefix without k is separable.
+    Returns (support mask, plus bits) and its negation.
+    """
+    k = len(labels) - 1
+    n = tab.n
+    combo = [0] * len(lifted[k])
+    supp = plus = 0
+    for j, v in enumerate(tab.nonbasic):
+        y = -tab.obj[j]
+        if v > n and y > 0:  # slack n is the L1 row's
+            i = order[v - n - 1]
+            supp |= 1 << i
+            plus |= (labels[i] > 0) << i
+            combo = [a + y * labels[i] * b for a, b in zip(combo, lifted[i])]
+    if any(combo) or not supp >> k & 1:
+        raise RuntimeError(
+            f"margin-0 tableau gives no certificate holding point {k} for labels "
+            f"{labels}: support {supp:b}, combination {combo}"
+        )
+    return (supp, plus), (supp, supp ^ plus)
+
+
+def _refuted(labels, patterns) -> bool:
+    """The labeling agrees with a learned (support mask, plus bits) pattern."""
+    if not patterns:
+        return False
+    bits = sum(1 << i for i, lab in enumerate(labels) if lab > 0)
+    return any(bits & m == p for m, p in patterns)
+
+
+def _extend_count(ps, labels, tab, plane, order, mask, learned):
     """Count separable completions of a separable prefix.
 
     The prefix invariant makes pruning sound: a labeling whose prefix is
     not separable has no separable extension. ``tab`` is the optimal
     tableau of the last solve up this branch and holds the rows of the
-    points set in ``mask``; ``plane``, its optimal (W, B), strictly
-    separates every point of the prefix. The plane settles most extensions
-    without touching the LP; a point landing on the wrong side (or exactly
-    on the plane) triggers a re-solve: a copy of ``tab`` gains that point's
-    row and dual simplex takes it from the old basis to the new optimum.
-    Margin 0 on a subset of the prefix's rows proves the prefix inseparable.
-    Otherwise the new plane is tested exactly on the prefix points whose
-    rows are left out; those it fails join the tableau and the copy is
-    re-solved, until the plane separates every point of the prefix.
+    points set in ``mask``, after its L1 row in the order ``order``;
+    ``plane``, its optimal (W, B), strictly separates every point of the
+    prefix. The plane settles most extensions without touching the LP; a
+    point landing on the wrong side (or exactly on the plane) triggers a
+    re-solve: a copy of ``tab`` gains that point's row and dual simplex
+    takes it from the old basis to the new optimum. Margin 0 on a subset
+    of the prefix's rows proves the prefix inseparable. Otherwise the new
+    plane is tested exactly on the prefix points whose rows are left out;
+    those it fails join the tableau and the copy is re-solved, until the
+    plane separates every point of the prefix.
+
+    A re-solve with margin 0 also learns its Farkas certificate (see
+    ``_radon_patterns``): a pattern over at most h + 2 points that holds
+    the new point k. ``learned[k]`` keeps each pattern and its negation,
+    and a labeling that agrees with one of them is pruned before any
+    tableau is copied (clause learning, Marques-Silva & Sakallah 1999).
+    Only bucket k can match at point k: a pattern over earlier points
+    that matched would have pruned the prefix already.
     """
     k = len(labels)
     if k == len(ps):
@@ -303,16 +358,18 @@ def _extend_count(ps, labels, tab, plane, mask):
     for lab in (1, -1):
         labels.append(lab)
         if lab * s > 0:
-            total += _extend_count(ps, labels, tab, plane, mask)
-        else:
-            fresh, fresh_mask, failed = tab.copy(), mask, [k]
+            total += _extend_count(ps, labels, tab, plane, order, mask, learned)
+        elif not _refuted(labels, learned[k]):
+            fresh, fresh_order, fresh_mask, failed = tab.copy(), order, mask, [k]
             while failed:
                 for i in failed:
                     fresh.add_row(_point_row(lifted[i], labels[i]))
                     fresh_mask |= 1 << i
+                fresh_order += tuple(failed)
                 fresh.reoptimize()
                 fresh_plane = _plane(fresh)
                 if fresh_plane is None:
+                    learned[k] += _radon_patterns(fresh, fresh_order, labels, lifted)
                     break
                 failed = [
                     i
@@ -321,18 +378,25 @@ def _extend_count(ps, labels, tab, plane, mask):
                     and labels[i] * _side(fresh_plane, lifted[i]) <= 0
                 ]
             if fresh_plane is not None:
-                total += _extend_count(ps, labels, fresh, fresh_plane, fresh_mask)
+                total += _extend_count(
+                    ps, labels, fresh, fresh_plane, fresh_order, fresh_mask, learned
+                )
         labels.pop()
     return total
 
 
 def _count_under_prefix(ps, prefix):
-    """Separable full labelings extending ``prefix`` (0 if the prefix is not)."""
+    """Separable full labelings extending ``prefix`` (0 if the prefix is not).
+    The learned patterns live for this one call."""
     tab = _margin_lp(ps.lifted[: len(prefix)], prefix)
     plane = _plane(tab)
     if plane is None:
         return 0
-    return _extend_count(ps, list(prefix), tab, plane, (1 << len(prefix)) - 1)
+    k = len(prefix)
+    learned = [[] for _ in ps.lifted]
+    return _extend_count(
+        ps, list(prefix), tab, plane, tuple(range(k)), (1 << k) - 1, learned
+    )
 
 
 def _chunk_job(args):

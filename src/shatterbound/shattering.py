@@ -20,9 +20,9 @@ from .logarithmetic import (
     LN2,
     BigCount,
     LogNum,
+    _binomial_row,
     _log_add,
     _log_binomial_row,
-    exact_binomial,
     log_pow,
     log_sum,
 )
@@ -74,9 +74,7 @@ def shatter_multi(n: int, spec: HypothesisSpec) -> BigCount:
     """
     _require_positive_n(n)
     # terms with i > n-1 vanish, so the loop never needs to pass the row end
-    return 2 * sum(
-        exact_binomial(n - 1, i) ** spec.p for i in range(min(spec.h, n - 1) + 1)
-    )
+    return 2 * sum(c**spec.p for c in _binomial_row(n - 1, min(spec.h, n - 1)))
 
 
 def shatter_log(n: int, spec: HypothesisSpec) -> LogNum:
@@ -111,7 +109,10 @@ def complement_count(n: int, h: int) -> BigCount:
     if h < 0:
         raise ValueError(f"dimension h must be nonnegative, got {h}")
     _require_positive_n(n)
-    return 2 * sum(exact_binomial(n - 1, i) for i in range(h + 1, n + 1))
+    if h >= n - 1:
+        return 0
+    # C(n-1, i) = C(n-1, n-1-i): the tail i > h is the head i < n-1-h
+    return 2 * sum(_binomial_row(n - 1, n - 2 - h))
 
 
 def _hyperplane_series_core_log(n: int, h: int) -> float:

@@ -371,8 +371,10 @@ class TestCountPastTheDigitLimit:
     # CPython refuses to turn an int of more digits than its limit (4300 by
     # default) into a decimal string. The count 2 * sum C(99, i)**p, i <= 3,
     # has 4297 digits at p = 827, 4303 at p = 828 and 52 000 at p = 10000.
+    # At h = n - 1 the count is 2^n, which has 4516 digits at n = 15000.
     @pytest.mark.parametrize("argv", [
         ["coef", "--n", "100", "--h", "3", "--p", "828"],
+        ["coef", "--n", "15000", "--h", "14999"],
         ["coef", "--n", "100", "--h", "3", "--p", "10000", "--format", "json"],
     ])
     def test_exit_1_with_one_error_line(self, capsys, argv):

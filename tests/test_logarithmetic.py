@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from shatterbound.logarithmetic import (
     LogNum,
+    _binomial_row,
     exact_binomial,
     log_binomial,
     log_of_bigcount,
@@ -44,6 +45,15 @@ class TestExactBinomial:
         assert exact_binomial(n, k) == exact_binomial(n - 1, k) + exact_binomial(
             n - 1, k - 1
         )
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 13, 64, 200])
+    def test_row_matches_comb_up_to_the_row_end(self, m):
+        for k in range(m + 1):
+            assert list(_binomial_row(m, k)) == [math.comb(m, i) for i in range(k + 1)]
+
+    def test_row_at_large_m(self):
+        m = 2**63 - 1
+        assert list(_binomial_row(m, 4)) == [math.comb(m, i) for i in range(5)]
 
 
 class TestLogBinomial:

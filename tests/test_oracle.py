@@ -79,6 +79,29 @@ def lp_counters(monkeypatch):
     return calls
 
 
+def learning_counters(monkeypatch):
+    """The patterns the enumeration learns, in order, and the labelings they
+    prune, live through shatterbound.oracle."""
+    import shatterbound.oracle as om
+
+    seen = {"patterns": [], "prunes": 0}
+    learn, refuted = om._radon_patterns, om._refuted
+
+    def patterns(*args):
+        pair = learn(*args)
+        seen["patterns"].append(pair)
+        return pair
+
+    def pruned(*args):
+        hit = refuted(*args)
+        seen["prunes"] += hit
+        return hit
+
+    monkeypatch.setattr(om, "_radon_patterns", patterns)
+    monkeypatch.setattr(om, "_refuted", pruned)
+    return seen
+
+
 def brute_force_count(ps):
     """Labelings of ps that the cold is_separable certifies, one LP each;
     every certificate must lie in the L1 ball sum |w_j| + |b| <= 1."""
@@ -457,6 +480,10 @@ class TestCountDichotomies:
         expect = count_dichotomies(ps)
         assert count_dichotomies(ps, workers=2) == expect
         assert count_dichotomies(ps, workers=4) == expect
+        # each pool job learns its own patterns from its own prefix
+        for cell in ((12, 3, 5), (16, 3, 0)):
+            ps = generate_general_position(*cell)
+            assert count_dichotomies(ps, workers=2) == count_dichotomies(ps)
 
     def test_pool_never_exceeds_the_job_count(self, monkeypatch):
         import shatterbound.oracle as om
@@ -530,15 +557,21 @@ class TestCountDichotomies:
     def test_row_generation_keeps_the_decisions_and_cuts_the_rows(self, monkeypatch):
         # machine-independent cost of the (12, 3, seed 5) count, pinned
         # exactly so that any change to the pivot path shows. The tree fixes
-        # the decisions: one cold solve, one copy per re-solved prefix. With
-        # 2h + 2 box rows and every prefix row in each copy it took 561
-        # reoptimize rounds, 1758 pivots and 31730 rows rewritten.
+        # 561 decisions past the cold root solve: each is a copy re-solved
+        # or a labeling a learned pattern prunes. Without learning all 561
+        # were copies, with 699 reoptimize rounds, 1317 pivots and 9849 rows
+        # rewritten; with 2h + 2 box rows and every prefix row in each copy
+        # also 1758 pivots and 31730 rows.
         calls = lp_counters(monkeypatch)
+        learned = learning_counters(monkeypatch)
         ps = generate_general_position(12, 3, 5)
         assert count_dichotomies(ps) == 464
         assert calls == {
-            "maximize": 1, "copy": 561, "reoptimize": 699, "pivot": 1317, "rows": 9849
+            "maximize": 1, "copy": 347, "reoptimize": 463, "pivot": 877, "rows": 6384
         }
+        assert len(learned["patterns"]) == 116
+        assert learned["prunes"] == 214
+        assert calls["copy"] + learned["prunes"] == 561
 
     @given(small_general_position())
     @settings(max_examples=60, deadline=None)
@@ -557,6 +590,77 @@ class TestCountDichotomies:
         calls = lp_counters(monkeypatch)
         assert count_dichotomies(ps) == expect
         assert calls["reoptimize"] > calls["copy"]
+
+
+def sub_labeling(ps, pattern):
+    """The points of a (support mask, plus bits) pattern as a PointSet, with
+    the pattern's labels."""
+    supp, plus = pattern
+    idx = [i for i in range(len(ps)) if supp >> i & 1]
+    sub = PointSet(dim=ps.dim, points=tuple(ps.points[i] for i in idx))
+    return sub, tuple(1 if plus >> i & 1 else -1 for i in idx)
+
+
+class TestLearnedPatterns:
+    @pytest.mark.parametrize(
+        "ps",
+        [
+            MIXED,
+            generate_general_position(14, 2, 1),
+            generate_general_position(12, 3, 5),
+            generate_general_position(16, 3, 0),
+            generate_general_position(10, 4, 3),
+        ],
+        ids=["mixed-denominators", "14-2-1", "12-3-5", "16-3-0", "10-4-3"],
+    )
+    def test_every_pattern_spans_h_plus_two_points(self, ps, monkeypatch):
+        # in general position a Radon partition needs all h + 2 points
+        learned = learning_counters(monkeypatch)
+        count_dichotomies(ps)
+        assert learned["patterns"]
+        for pos, neg in learned["patterns"]:
+            assert pos[0] == neg[0] and pos[1] ^ neg[1] == pos[0]
+            assert bin(pos[0]).count("1") == ps.dim + 2
+
+    @given(small_general_position())
+    @settings(max_examples=60, deadline=None)
+    def test_cold_lp_rejects_every_learned_pattern(self, ps):
+        with pytest.MonkeyPatch.context() as mp:
+            learned = learning_counters(mp)
+            count_dichotomies(ps)
+        for pair in learned["patterns"]:
+            for pattern in pair:
+                assert is_separable(*sub_labeling(ps, pattern)) is None
+
+    def test_xor_certificate_is_the_whole_square(self):
+        import shatterbound.oracle as om
+
+        labels = [1, 1, -1, -1]
+        tab = om._margin_lp(XOR.lifted, labels)
+        assert om._radon_patterns(tab, (0, 1, 2, 3), labels, XOR.lifted) == (
+            (0b1111, 0b0011), (0b1111, 0b1100)
+        )
+
+    def test_nonzero_combination_raises(self):
+        import shatterbound.oracle as om
+
+        tab = om._margin_lp(XOR.lifted, (1, 1, -1, -1))
+        # the multipliers of one labeling do not cancel under another
+        with pytest.raises(RuntimeError, match="no certificate"):
+            om._radon_patterns(tab, (0, 1, 2, 3), [1, -1, 1, -1], XOR.lifted)
+        # nor does a positive-margin tableau carry a certificate at all
+        tab = om._margin_lp(XOR.lifted, (1, -1, 1, -1))
+        with pytest.raises(RuntimeError, match="no certificate"):
+            om._radon_patterns(tab, (0, 1, 2, 3), [1, -1, 1, -1], XOR.lifted)
+
+    def test_support_missing_the_new_point_raises(self):
+        import shatterbound.oracle as om
+
+        labels = [1, 1, -1, -1]
+        tab = om._margin_lp(XOR.lifted, labels)
+        lifted = XOR.lifted + ((5, 7, 1),)
+        with pytest.raises(RuntimeError, match="holding point 4"):
+            om._radon_patterns(tab, (0, 1, 2, 3), labels + [1], lifted)
 
 
 class TestVerifyFormula:
