@@ -7,18 +7,19 @@ Each point x is also kept as its integer lift k * (x, 1), the same ray as
 (x, 1), with k the lcm of x's denominators. The general-position test shares
 one fraction-free elimination of the lifted rows along each prefix of h - 1
 points and decides every (h+1)-subset through it from the later rows'
-projections onto its 2-D complement. An exact LP on the same rows settles
-separability, so "margin zero" versus "margin positive" is never a
-floating-point judgement call. The enumeration decides each label prefix
-once, cold at the root and otherwise by dual simplex from the tableau of the
-last solve above it. That tableau holds only the rows of points some plane
-on the branch failed; the other points are checked by an exact sign test
-against the new plane and join the LP only when they fail it (row
-generation, Kelley 1960). A re-solve that ends at margin 0 hands back
-its Farkas multipliers, a sub-labeling of at most h + 2 points whose
-weighted lifted rows cancel exactly (Kirchberger 1903); it is checked in
-integers and kept with its negation, and a later prefix that agrees with
-either is pruned without an LP. The resulting count is compared against
+projections onto its 2-D complement. Separability is exact feasibility of
+labels[i] * (W . lift_i) >= 1 over a free plane W = (w, b) (Gordan 1873),
+so "separable" versus "not" is never a floating-point judgement call. The
+enumeration decides each label prefix once, cold at the root and otherwise
+by dual simplex from the tableau of the last solve above it. That tableau
+holds only the rows of points some plane on the branch failed; the other
+points are checked by an exact sign test against the new plane and join
+the tableau only when they fail it (row generation, Kelley 1960). A
+re-solve that ends infeasible hands back its infeasible row, whose Farkas
+multipliers pick a sub-labeling of at most h + 2 points whose weighted
+lifted rows cancel exactly (Kirchberger 1903); it is checked in integers
+and kept with its negation, and a later prefix that agrees with either is
+pruned without a solve. The resulting count is compared against
 2 * sum_{i<=h} C(n-1, i).
 """
 
@@ -87,7 +88,7 @@ def _extend(rows, cols, d, y):
 
 def _side(normal, y) -> int:
     """normal . y: in the position test, one coordinate of y's projection
-    onto the complement of a prefix; for an LP plane (W, B), the side of y
+    onto the complement of a prefix; for a plane W = (w, b), the side of y
     times its lift factor."""
     return sum(map(mul, normal, y))
 
@@ -137,7 +138,8 @@ class PointSet:
     integer vectors spanning the complement of the prefix, and each later
     row is projected onto them once, two dot products per row. ``seed`` and
     ``resamples`` record generation provenance when applicable. ``lifted``
-    holds each point's integer lift, read by the position test and the LP.
+    holds each point's integer lift, read by the position test and the
+    separability tableau.
     """
 
     dim: int
@@ -165,7 +167,10 @@ class PointSet:
 
 @dataclass(frozen=True)
 class SeparabilityCertificate:
-    """Explicit witness (w, b) with labels[i] * (w . x_i + b) >= margin > 0."""
+    """Explicit witness (w, b) with labels[i] * (w . x_i + b) >= margin > 0:
+    a separating plane scaled to sum_j |w_j| + |b| = 1, with margin the
+    smallest labels[i] * side(x_i) over the points, not the largest any
+    plane attains."""
 
     w: tuple[Fraction, ...]
     b: Fraction
@@ -203,94 +208,62 @@ def generate_general_position(n: int, h: int, seed: int) -> PointSet:
     )
 
 
-def _point_row(lifted_point, lab) -> list[int]:
-    """labels * (w . x + b) >= t times the lift factor k, as a row <= 0 over
-    (w+, w-, b+, b-, t), read off the lifted point (k x, k)."""
-    kx = [lab * v for v in lifted_point[:-1]]
-    k = lifted_point[-1]
-    return [-v for v in kx] + kx + [-lab * k, lab * k, k]
+def _separation(lifted, labels) -> tuple[Tableau, int | None]:
+    """The solved feasibility tableau of
 
+        labels[i] * (W . lifted[i]) >= 1   for every i
 
-def _margin_lp(lifted, labels) -> Tableau:
-    """Optimal tableau of the max-margin program in the L1 ball
-    sum_j |w_j| + |b| <= 1:
-
-        maximize t   s.t.   labels[i] * (w . x_i + b) >= t  for every i
-
-    Any separating hyperplane can be rescaled into the ball with its margin
-    still positive, so the sign of the optimum decides strict separability.
-    Splitting w and b into nonnegative parts and restricting t >= 0 (the
-    optimum is then max(t*, 0), same decision and same witness when
-    separable) makes the all-slack basis feasible: every right-hand side is
-    nonnegative, so the solve needs no feasibility phase. One row bounds
-    the sum of the parts by 1, then one integer row per point follows.
+    over the free plane W = (w, b), and the index of its infeasible row, or
+    None when the system is feasible. Row i is -labels[i] * lifted[i] . W
+    <= -1. Every lift k * (x, 1) has k > 0, so a plane strictly separating
+    the labels, scaled up, solves the system, and a solution is such a
+    plane: feasibility decides strict separability exactly (Gordan 1873).
     """
-    h = len(lifted[0]) - 1
-    c = [0] * (2 * h + 2) + [1]  # w+, w-, b+, b-, t
-    A = [[1] * (2 * h + 2) + [0]] + [
-        _point_row(row, lab) for row, lab in zip(lifted, labels)
-    ]
-    tab = Tableau(c, A, [1] + [0] * len(lifted))
-    if not tab.maximize():
-        raise RuntimeError(
-            f"margin program is bounded by its L1 row but came back unbounded "
-            f"for labels {list(labels)} on lifted points {lifted}"
-        )
-    return tab
-
-
-def _plane(tab) -> tuple[int, ...] | None:
-    """The optimal plane of a solved margin tableau as integers (W, B), the
-    numerators of (w, b) over tab.d > 0; None when the margin is 0. The
-    plane has positive margin on the points whose rows the tableau holds,
-    and says nothing about the others."""
-    x = tab.point()
-    h = (len(x) - 3) // 2
-    if x[-1] <= 0:
-        return None
-    return tuple(x[j] - x[h + j] for j in range(h)) + (x[2 * h] - x[2 * h + 1],)
+    tab = Tableau(len(lifted[0]))
+    for y, lab in zip(lifted, labels):
+        tab.add_row([-lab * v for v in y], -1)
+    return tab, tab.solve()
 
 
 def is_separable(ps: PointSet, labels: tuple[int, ...]) -> SeparabilityCertificate | None:
     """Certificate for a hyperplane strictly separating the points labelled
     +1 from those labelled -1, or None.
 
-    ``labels`` holds one +1 or -1 per point. The certificate is re-validated
-    against every point before being returned, so a caller can trust it
-    without reproving anything.
+    ``labels`` holds one +1 or -1 per point. The plane is a separating one,
+    not the max-margin one, scaled so that sum_j |w_j| + |b| = 1; its
+    margin is the exact minimum of labels[i] * side(x_i). The certificate is
+    re-validated against every point before being returned, so a caller can
+    trust it without reproving anything.
     """
     if len(labels) != len(ps):
         raise ValueError(f"got {len(labels)} labels for {len(ps)} points")
     if any(l not in (-1, 1) for l in labels):
         raise ValueError(f"labels must be -1 or +1, got {labels}")
-    tab = _margin_lp(ps.lifted, labels)
-    plane = _plane(tab)
-    if plane is None:
+    tab, bad = _separation(ps.lifted, labels)
+    if bad is not None:
         return None
-    cert = SeparabilityCertificate(
-        w=tuple(Fraction(v, tab.d) for v in plane[:-1]),
-        b=Fraction(plane[-1], tab.d),
-        margin=Fraction(-tab.obj[-1], tab.d),
-    )
-    for pt, lab in zip(ps.points, labels):
-        signed = lab * cert.side(pt)
-        if signed < cert.margin:
-            raise RuntimeError(
-                f"certificate w={cert.w}, b={cert.b}, margin={cert.margin} fails "
-                f"point {pt} with label {lab}: signed side {signed}"
-            )
-    return cert
+    plane = tab.point()
+    norm = sum(map(abs, plane))
+    w = tuple(Fraction(v, norm) for v in plane[:-1])
+    b = Fraction(plane[-1], norm)
+    margin = min(lab * (sum(map(mul, w, pt)) + b) for pt, lab in zip(ps.points, labels))
+    if margin <= 0:
+        raise RuntimeError(
+            f"feasible plane w={w}, b={b} fails some point of {ps.points} "
+            f"for labels {labels}: margin {margin}"
+        )
+    return SeparabilityCertificate(w=w, b=b, margin=margin)
 
 
-def _radon_patterns(tab, order, labels, lifted):
-    """The two sign patterns that a margin-0 tableau proves inseparable.
+def _radon_patterns(tab, r, order, labels, lifted):
+    """The two sign patterns that an infeasible row proves inseparable.
 
-    ``tab`` is an optimal margin tableau with optimum 0 whose point rows
-    hold, after the L1 row, the points ``order`` in append order; the last
-    of ``labels`` is the point k the prefix just gained. The Farkas
-    certificate is read off the reduced costs: y_i = -obj[j] > 0 for each
-    nonbasic slack of a point row. The optimum 0 gives the L1 row a
-    multiplier of 0, so sum_i y_i * labels[i] * lifted[i] = 0: the
+    Row r of ``tab`` is the row ``Tableau.solve`` returned; the tableau's
+    rows hold the points ``order`` in append order, and the last of
+    ``labels`` is the point k the prefix just gained. The row's Farkas
+    multipliers are d for its basic slack and row[j] for each nonbasic
+    slack with row[j] > 0. They combine the point rows into 0 . W <= a
+    negative number, so sum_i y_i * labels[i] * lifted[i] = 0: the
     support's +1 and -1 points have crossing convex hulls (Radon, 1921),
     and any labeling that agrees with the support's labels, or with their
     negation, is inseparable. The sum is checked in integers, and the
@@ -299,49 +272,48 @@ def _radon_patterns(tab, order, labels, lifted):
     """
     k = len(labels) - 1
     n = tab.n
+    row = tab.rows[r]
     combo = [0] * len(lifted[k])
     supp = plus = 0
-    for j, v in enumerate(tab.nonbasic):
-        y = -tab.obj[j]
-        if v > n and y > 0:  # slack n is the L1 row's
-            i = order[v - n - 1]
+    for v, y in zip(tab.nonbasic + [tab.basic[r]], row[:-1] + [tab.d]):
+        if v >= n and y > 0:
+            i = order[v - n]
             supp |= 1 << i
             plus |= (labels[i] > 0) << i
             combo = [a + y * labels[i] * b for a, b in zip(combo, lifted[i])]
     if any(combo) or not supp >> k & 1:
         raise RuntimeError(
-            f"margin-0 tableau gives no certificate holding point {k} for labels "
+            f"row {r} gives no certificate holding point {k} for labels "
             f"{labels}: support {supp:b}, combination {combo}"
         )
     return (supp, plus), (supp, supp ^ plus)
 
 
-def _refuted(labels, patterns) -> bool:
-    """The labeling agrees with a learned (support mask, plus bits) pattern."""
-    if not patterns:
-        return False
-    bits = sum(1 << i for i, lab in enumerate(labels) if lab > 0)
-    return any(bits & m == p for m, p in patterns)
+def _refuted(plus, patterns) -> bool:
+    """The labeling with these plus bits agrees with a learned (support
+    mask, plus bits) pattern."""
+    return any(plus & m == p for m, p in patterns)
 
 
-def _extend_count(ps, labels, tab, plane, order, mask, learned):
+def _extend_count(ps, labels, plus, tab, plane, order, mask, learned):
     """Count separable completions of a separable prefix.
 
     The prefix invariant makes pruning sound: a labeling whose prefix is
-    not separable has no separable extension. ``tab`` is the optimal
-    tableau of the last solve up this branch and holds the rows of the
-    points set in ``mask``, after its L1 row in the order ``order``;
-    ``plane``, its optimal (W, B), strictly separates every point of the
-    prefix. The plane settles most extensions without touching the LP; a
-    point landing on the wrong side (or exactly on the plane) triggers a
-    re-solve: a copy of ``tab`` gains that point's row and dual simplex
-    takes it from the old basis to the new optimum. Margin 0 on a subset
-    of the prefix's rows proves the prefix inseparable. Otherwise the new
-    plane is tested exactly on the prefix points whose rows are left out;
-    those it fails join the tableau and the copy is re-solved, until the
-    plane separates every point of the prefix.
+    not separable has no separable extension. ``plus`` holds the prefix's
+    +1 labels as bits. ``tab`` is the feasible tableau of the last solve up
+    this branch and holds the rows of the points set in ``mask``, in the
+    order ``order``; ``plane``, its point W (times d > 0), strictly
+    separates every point of the prefix. The plane settles most extensions
+    without touching the tableau; a point landing on the wrong side (or
+    exactly on the plane) triggers a re-solve: a copy of ``tab`` gains that
+    point's row and dual simplex takes it from the old basis to a feasible
+    one. An infeasible row on a subset of the prefix's rows proves the
+    prefix inseparable. Otherwise the new plane is tested exactly on the
+    prefix points whose rows are left out; those it fails join the tableau
+    and the copy is re-solved, until the plane separates every point of
+    the prefix.
 
-    A re-solve with margin 0 also learns its Farkas certificate (see
+    An infeasible re-solve also learns its Farkas certificate (see
     ``_radon_patterns``): a pattern over at most h + 2 points that holds
     the new point k. ``learned[k]`` keeps each pattern and its negation,
     and a labeling that agrees with one of them is pruned before any
@@ -357,29 +329,30 @@ def _extend_count(ps, labels, tab, plane, order, mask, learned):
     total = 0
     for lab in (1, -1):
         labels.append(lab)
+        bits = plus | 1 << k if lab > 0 else plus
         if lab * s > 0:
-            total += _extend_count(ps, labels, tab, plane, order, mask, learned)
-        elif not _refuted(labels, learned[k]):
+            total += _extend_count(ps, labels, bits, tab, plane, order, mask, learned)
+        elif not _refuted(bits, learned[k]):
             fresh, fresh_order, fresh_mask, failed = tab.copy(), order, mask, [k]
             while failed:
                 for i in failed:
-                    fresh.add_row(_point_row(lifted[i], labels[i]))
+                    fresh.add_row([-labels[i] * v for v in lifted[i]], -1)
                     fresh_mask |= 1 << i
                 fresh_order += tuple(failed)
-                fresh.reoptimize()
-                fresh_plane = _plane(fresh)
-                if fresh_plane is None:
-                    learned[k] += _radon_patterns(fresh, fresh_order, labels, lifted)
+                bad = fresh.solve()
+                if bad is not None:
+                    learned[k] += _radon_patterns(fresh, bad, fresh_order, labels, lifted)
                     break
+                fresh_plane = fresh.point()
                 failed = [
                     i
                     for i in range(k)
                     if not fresh_mask >> i & 1
                     and labels[i] * _side(fresh_plane, lifted[i]) <= 0
                 ]
-            if fresh_plane is not None:
+            else:
                 total += _extend_count(
-                    ps, labels, fresh, fresh_plane, fresh_order, fresh_mask, learned
+                    ps, labels, bits, fresh, fresh_plane, fresh_order, fresh_mask, learned
                 )
         labels.pop()
     return total
@@ -388,14 +361,14 @@ def _extend_count(ps, labels, tab, plane, order, mask, learned):
 def _count_under_prefix(ps, prefix):
     """Separable full labelings extending ``prefix`` (0 if the prefix is not).
     The learned patterns live for this one call."""
-    tab = _margin_lp(ps.lifted[: len(prefix)], prefix)
-    plane = _plane(tab)
-    if plane is None:
-        return 0
     k = len(prefix)
+    tab, bad = _separation(ps.lifted[:k], prefix)
+    if bad is not None:
+        return 0
+    plus = sum(1 << i for i, lab in enumerate(prefix) if lab > 0)
     learned = [[] for _ in ps.lifted]
     return _extend_count(
-        ps, list(prefix), tab, plane, tuple(range(k)), (1 << k) - 1, learned
+        ps, list(prefix), plus, tab, tab.point(), tuple(range(k)), (1 << k) - 1, learned
     )
 
 

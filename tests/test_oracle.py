@@ -51,12 +51,12 @@ MIXED = PointSet(
 
 
 def lp_counters(monkeypatch):
-    """Live counts of the LP work done through shatterbound.rational_lp:
-    calls of Tableau.maximize, reoptimize and copy, pivots, and rows rewritten
-    summed over all pivots (every other row plus the objective row)."""
+    """Live counts of the work done through shatterbound.rational_lp: calls
+    of Tableau.solve (cold and warm) and copy, pivots, and rows rewritten
+    summed over all pivots (every row but the pivot row)."""
     import shatterbound.rational_lp as lp
 
-    calls = {"maximize": 0, "reoptimize": 0, "copy": 0, "pivot": 0, "rows": 0}
+    calls = {"solve": 0, "copy": 0, "pivot": 0, "rows": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -69,10 +69,10 @@ def lp_counters(monkeypatch):
 
     def pivot(t, r, c):
         calls["pivot"] += 1
-        calls["rows"] += len(t.rows)
+        calls["rows"] += len(t.rows) - 1
         return pivot_fn(t, r, c)
 
-    for method in ("maximize", "reoptimize", "copy"):
+    for method in ("solve", "copy"):
         fn = getattr(lp.Tableau, method)
         monkeypatch.setattr(lp.Tableau, method, counted(method, fn))
     monkeypatch.setattr(lp, "_pivot", pivot)
@@ -103,13 +103,13 @@ def learning_counters(monkeypatch):
 
 
 def brute_force_count(ps):
-    """Labelings of ps that the cold is_separable certifies, one LP each;
-    every certificate must lie in the L1 ball sum |w_j| + |b| <= 1."""
+    """Labelings of ps that the cold is_separable certifies, one solve each;
+    every certificate must lie on the L1 sphere sum |w_j| + |b| = 1."""
     total = 0
     for labels in itertools.product((1, -1), repeat=len(ps)):
         cert = is_separable(ps, labels)
         if cert is not None:
-            assert sum(abs(wi) for wi in cert.w) + abs(cert.b) <= 1
+            assert sum(abs(wi) for wi in cert.w) + abs(cert.b) == 1
             total += 1
     return total
 
@@ -426,9 +426,11 @@ class TestSeparability:
         assert cert is not None
         assert all(abs(wi) <= 1 for wi in cert.w)
         assert abs(cert.b) <= 1
-        assert sum(abs(wi) for wi in cert.w) + abs(cert.b) <= 1
+        assert sum(abs(wi) for wi in cert.w) + abs(cert.b) == 1
         for pt, lab in zip(ps.points, d):
             assert lab * cert.side(pt) >= cert.margin > 0
+        # the margin is the plane's own, attained at some point
+        assert min(lab * cert.side(pt) for pt, lab in zip(ps.points, d)) == cert.margin
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -558,19 +560,16 @@ class TestCountDichotomies:
         # machine-independent cost of the (12, 3, seed 5) count, pinned
         # exactly so that any change to the pivot path shows. The tree fixes
         # 561 decisions past the cold root solve: each is a copy re-solved
-        # or a labeling a learned pattern prunes. Without learning all 561
-        # were copies, with 699 reoptimize rounds, 1317 pivots and 9849 rows
-        # rewritten; with 2h + 2 box rows and every prefix row in each copy
-        # also 1758 pivots and 31730 rows.
+        # or a labeling a learned pattern prunes. The max-margin program
+        # over (w+, w-, b+, b-, t) split them into 347 copies and 214 prunes
+        # with 463 re-solve rounds, 877 pivots and rows 2h + 4 wide.
         calls = lp_counters(monkeypatch)
         learned = learning_counters(monkeypatch)
         ps = generate_general_position(12, 3, 5)
         assert count_dichotomies(ps) == 464
-        assert calls == {
-            "maximize": 1, "copy": 347, "reoptimize": 463, "pivot": 877, "rows": 6384
-        }
-        assert len(learned["patterns"]) == 116
-        assert learned["prunes"] == 214
+        assert calls == {"solve": 1 + 475, "copy": 343, "pivot": 536, "rows": 3102}
+        assert len(learned["patterns"]) == 112
+        assert learned["prunes"] == 218
         assert calls["copy"] + learned["prunes"] == 561
 
     @given(small_general_position())
@@ -589,7 +588,7 @@ class TestCountDichotomies:
         expect = brute_force_count(ps)
         calls = lp_counters(monkeypatch)
         assert count_dichotomies(ps) == expect
-        assert calls["reoptimize"] > calls["copy"]
+        assert calls["solve"] - 1 > calls["copy"]  # one cold solve at the root
 
 
 def sub_labeling(ps, pattern):
@@ -636,31 +635,34 @@ class TestLearnedPatterns:
         import shatterbound.oracle as om
 
         labels = [1, 1, -1, -1]
-        tab = om._margin_lp(XOR.lifted, labels)
-        assert om._radon_patterns(tab, (0, 1, 2, 3), labels, XOR.lifted) == (
+        tab, bad = om._separation(XOR.lifted, labels)
+        assert bad is not None
+        assert om._radon_patterns(tab, bad, (0, 1, 2, 3), labels, XOR.lifted) == (
             (0b1111, 0b0011), (0b1111, 0b1100)
         )
 
     def test_nonzero_combination_raises(self):
         import shatterbound.oracle as om
 
-        tab = om._margin_lp(XOR.lifted, (1, 1, -1, -1))
+        tab, bad = om._separation(XOR.lifted, (1, 1, -1, -1))
         # the multipliers of one labeling do not cancel under another
         with pytest.raises(RuntimeError, match="no certificate"):
-            om._radon_patterns(tab, (0, 1, 2, 3), [1, -1, 1, -1], XOR.lifted)
-        # nor does a positive-margin tableau carry a certificate at all
-        tab = om._margin_lp(XOR.lifted, (1, -1, 1, -1))
-        with pytest.raises(RuntimeError, match="no certificate"):
-            om._radon_patterns(tab, (0, 1, 2, 3), [1, -1, 1, -1], XOR.lifted)
+            om._radon_patterns(tab, bad, (0, 1, 2, 3), [1, -1, 1, -1], XOR.lifted)
+        # nor does a row of a feasible tableau carry a certificate at all
+        tab, bad = om._separation(XOR.lifted, (1, -1, 1, -1))
+        assert bad is None
+        for r in range(4):
+            with pytest.raises(RuntimeError, match="no certificate"):
+                om._radon_patterns(tab, r, (0, 1, 2, 3), [1, -1, 1, -1], XOR.lifted)
 
     def test_support_missing_the_new_point_raises(self):
         import shatterbound.oracle as om
 
         labels = [1, 1, -1, -1]
-        tab = om._margin_lp(XOR.lifted, labels)
+        tab, bad = om._separation(XOR.lifted, labels)
         lifted = XOR.lifted + ((5, 7, 1),)
         with pytest.raises(RuntimeError, match="holding point 4"):
-            om._radon_patterns(tab, (0, 1, 2, 3), labels + [1], lifted)
+            om._radon_patterns(tab, bad, (0, 1, 2, 3), labels + [1], lifted)
 
 
 class TestVerifyFormula:
