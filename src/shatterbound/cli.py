@@ -39,8 +39,8 @@ EXIT_NO_CONVERGENCE = 3
 _LN10 = math.log(10.0)
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A bad command line: main reports it like any other bad value, exit 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -363,9 +363,6 @@ def main(argv=None) -> int:
         record, code = _HANDLERS[args.command](args)
         # a count past CPython's int-to-str digit limit is a ValueError here
         text = _render(record, args.format)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NoBracketError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE

@@ -9,27 +9,28 @@ one fraction-free elimination of the lifted rows along each prefix of h - 1
 points and decides every (h+1)-subset through it from the later rows'
 projections onto its 2-D complement. Separability is exact feasibility of
 labels[i] * (W . lift_i) >= 1 over a free plane W = (w, b) (Gordan 1873),
-so "separable" versus "not" is never a floating-point judgement call. The
+so "separable" versus "not" is never a floating-point judgement call. A
+labeling is one int whose bit i is set when point i is labelled +1. The
 enumeration decides each label prefix once, cold at the root and otherwise
 by dual simplex from the tableau of the last solve above it. That tableau
-holds only the rows of points some plane on the branch failed; the other
-points are checked by an exact sign test against the new plane and join
-the tableau only when they fail it (row generation, Kelley 1960). A
-re-solve that ends infeasible hands back its infeasible row, whose Farkas
-multipliers pick a sub-labeling of at most h + 2 points whose weighted
-lifted rows cancel exactly (Kirchberger 1903); it is checked in integers
-and kept with its negation, and a later prefix that agrees with either is
+holds only the rows of points some plane on the branch failed; every
+prefix point is checked by an exact sign test against the new plane, and
+those it fails join the tableau (row generation, Kelley 1960). A re-solve
+that ends infeasible hands back Farkas multipliers, which pick a
+sub-labeling of at most h + 2 points whose weighted lifted rows cancel
+exactly (Kirchberger 1903); it is checked in integers and kept once, and a
+later prefix that agrees with it or with its negation over its support is
 pruned without a solve. The resulting count is compared against
 2 * sum_{i<=h} C(n-1, i).
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from operator import mul
 
@@ -208,20 +209,22 @@ def generate_general_position(n: int, h: int, seed: int) -> PointSet:
     )
 
 
-def _separation(lifted, labels) -> tuple[Tableau, int | None]:
+def _separation(lifted, plus) -> tuple[Tableau, dict[int, int] | None]:
     """The solved feasibility tableau of
 
-        labels[i] * (W . lifted[i]) >= 1   for every i
+        lab_i * (W . lifted[i]) >= 1   for every i
 
-    over the free plane W = (w, b), and the index of its infeasible row, or
-    None when the system is feasible. Row i is -labels[i] * lifted[i] . W
-    <= -1. Every lift k * (x, 1) has k > 0, so a plane strictly separating
-    the labels, scaled up, solves the system, and a solution is such a
-    plane: feasibility decides strict separability exactly (Gordan 1873).
+    over the free plane W = (w, b), with lab_i = +1 when bit i of ``plus``
+    is set and -1 otherwise, and the Farkas multipliers ``Tableau.solve``
+    returned, or None when the system is feasible. Row i is
+    -lab_i * lifted[i] . W <= -1. Every lift k * (x, 1) has k > 0, so a
+    plane strictly separating the labels, scaled up, solves the system,
+    and a solution is such a plane: feasibility decides strict
+    separability exactly (Gordan 1873).
     """
     tab = Tableau(len(lifted[0]))
-    for y, lab in zip(lifted, labels):
-        tab.add_row([-lab * v for v in y], -1)
+    for i, y in enumerate(lifted):
+        tab.add_row([-v for v in y] if plus >> i & 1 else y, -1)
     return tab, tab.solve()
 
 
@@ -239,8 +242,9 @@ def is_separable(ps: PointSet, labels: tuple[int, ...]) -> SeparabilityCertifica
         raise ValueError(f"got {len(labels)} labels for {len(ps)} points")
     if any(l not in (-1, 1) for l in labels):
         raise ValueError(f"labels must be -1 or +1, got {labels}")
-    tab, bad = _separation(ps.lifted, labels)
-    if bad is not None:
+    plus = sum(1 << i for i, lab in enumerate(labels) if lab > 0)
+    tab, proof = _separation(ps.lifted, plus)
+    if proof is not None:
         return None
     plane = tab.point()
     norm = sum(map(abs, plane))
@@ -255,125 +259,109 @@ def is_separable(ps: PointSet, labels: tuple[int, ...]) -> SeparabilityCertifica
     return SeparabilityCertificate(w=w, b=b, margin=margin)
 
 
-def _radon_patterns(tab, r, order, labels, lifted):
-    """The two sign patterns that an infeasible row proves inseparable.
+def _radon_pattern(y, order, plus, lifted, k):
+    """The sign pattern that Farkas multipliers prove inseparable.
 
-    Row r of ``tab`` is the row ``Tableau.solve`` returned; the tableau's
-    rows hold the points ``order`` in append order, and the last of
-    ``labels`` is the point k the prefix just gained. The row's Farkas
-    multipliers are d for its basic slack and row[j] for each nonbasic
-    slack with row[j] > 0. They combine the point rows into 0 . W <= a
-    negative number, so sum_i y_i * labels[i] * lifted[i] = 0: the
+    ``y`` maps tableau rows to the positive multipliers ``Tableau.solve``
+    returned; the tableau's rows hold the points ``order`` in append
+    order, labelled by the bits of ``plus``, and k is the point the prefix
+    just gained. The multipliers combine the point rows into
+    0 . W <= a negative number, so sum_i y_i * lab_i * lifted[i] = 0: the
     support's +1 and -1 points have crossing convex hulls (Radon, 1921),
     and any labeling that agrees with the support's labels, or with their
     negation, is inseparable. The sum is checked in integers, and the
     support must hold k, because the prefix without k is separable.
-    Returns (support mask, plus bits) and its negation.
+    Returns (support mask, plus bits over the support).
     """
-    k = len(labels) - 1
-    n = tab.n
-    row = tab.rows[r]
     combo = [0] * len(lifted[k])
-    supp = plus = 0
-    for v, y in zip(tab.nonbasic + [tab.basic[r]], row[:-1] + [tab.d]):
-        if v >= n and y > 0:
-            i = order[v - n]
-            supp |= 1 << i
-            plus |= (labels[i] > 0) << i
-            combo = [a + y * labels[i] * b for a, b in zip(combo, lifted[i])]
+    supp = 0
+    for r, yi in y.items():
+        i = order[r]
+        supp |= 1 << i
+        yi = yi if plus >> i & 1 else -yi
+        combo = [a + yi * b for a, b in zip(combo, lifted[i])]
     if any(combo) or not supp >> k & 1:
         raise RuntimeError(
-            f"row {r} gives no certificate holding point {k} for labels "
-            f"{labels}: support {supp:b}, combination {combo}"
+            f"multipliers {y} give no certificate holding point {k} for plus "
+            f"bits {plus:b}: support {supp:b}, combination {combo}"
         )
-    return (supp, plus), (supp, supp ^ plus)
+    return supp, plus & supp
 
 
 def _refuted(plus, patterns) -> bool:
     """The labeling with these plus bits agrees with a learned (support
-    mask, plus bits) pattern."""
-    return any(plus & m == p for m, p in patterns)
+    mask, plus bits) pattern, or with its negation, over the support."""
+    return any((plus ^ p) & m in (0, m) for m, p in patterns)
 
 
-def _extend_count(ps, labels, plus, tab, plane, order, mask, learned):
-    """Count separable completions of a separable prefix.
+def _extend_count(ps, k, plus, tab, plane, order, learned):
+    """Count separable completions of a separable prefix of k labels.
 
     The prefix invariant makes pruning sound: a labeling whose prefix is
-    not separable has no separable extension. ``plus`` holds the prefix's
-    +1 labels as bits. ``tab`` is the feasible tableau of the last solve up
-    this branch and holds the rows of the points set in ``mask``, in the
-    order ``order``; ``plane``, its point W (times d > 0), strictly
-    separates every point of the prefix. The plane settles most extensions
-    without touching the tableau; a point landing on the wrong side (or
-    exactly on the plane) triggers a re-solve: a copy of ``tab`` gains that
-    point's row and dual simplex takes it from the old basis to a feasible
-    one. An infeasible row on a subset of the prefix's rows proves the
-    prefix inseparable. Otherwise the new plane is tested exactly on the
-    prefix points whose rows are left out; those it fails join the tableau
-    and the copy is re-solved, until the plane separates every point of
-    the prefix.
+    not separable has no separable extension. The labeling is kept as one
+    int, ``plus``, whose bit i is set when point i is labelled +1. ``tab``
+    is the feasible tableau of the last solve up this branch and holds the
+    rows of the points ``order``, in that order; ``plane``, its point W
+    (times d > 0), strictly separates every point of the prefix. The plane
+    settles most extensions without touching the tableau; a point landing
+    on the wrong side (or exactly on the plane) triggers a re-solve: a copy
+    of ``tab`` gains that point's row and dual simplex takes it from the
+    old basis to a feasible one. Farkas multipliers on a subset of the
+    prefix's rows prove the prefix inseparable. Otherwise the new plane is
+    tested exactly on every point of the prefix; a point whose row is in
+    the tableau passes, since its row gives lab * (lifted . W) >= d, and
+    those that fail join the tableau and the copy is re-solved, until the
+    plane separates every point of the prefix.
 
     An infeasible re-solve also learns its Farkas certificate (see
-    ``_radon_patterns``): a pattern over at most h + 2 points that holds
-    the new point k. ``learned[k]`` keeps each pattern and its negation,
-    and a labeling that agrees with one of them is pruned before any
-    tableau is copied (clause learning, Marques-Silva & Sakallah 1999).
-    Only bucket k can match at point k: a pattern over earlier points
-    that matched would have pruned the prefix already.
+    ``_radon_pattern``): a pattern over at most h + 2 points that holds
+    the new point k. ``learned[k]`` keeps each pattern once, and a
+    labeling that agrees with it or with its negation over the support is
+    pruned before any tableau is copied (clause learning, Marques-Silva &
+    Sakallah 1999). Only bucket k can match at point k: a pattern over
+    earlier points that matched would have pruned the prefix already.
     """
-    k = len(labels)
     if k == len(ps):
         return 1
     lifted = ps.lifted
     s = _side(plane, lifted[k])
     total = 0
-    for lab in (1, -1):
-        labels.append(lab)
-        bits = plus | 1 << k if lab > 0 else plus
-        if lab * s > 0:
-            total += _extend_count(ps, labels, bits, tab, plane, order, mask, learned)
+    for bits, side in ((plus | 1 << k, s), (plus, -s)):
+        if side > 0:
+            total += _extend_count(ps, k + 1, bits, tab, plane, order, learned)
         elif not _refuted(bits, learned[k]):
-            fresh, fresh_order, fresh_mask, failed = tab.copy(), order, mask, [k]
+            fresh, fresh_order, failed = tab.copy(), order, [k]
             while failed:
                 for i in failed:
-                    fresh.add_row([-labels[i] * v for v in lifted[i]], -1)
-                    fresh_mask |= 1 << i
+                    y = lifted[i]
+                    fresh.add_row([-v for v in y] if bits >> i & 1 else y, -1)
                 fresh_order += tuple(failed)
-                bad = fresh.solve()
-                if bad is not None:
-                    learned[k] += _radon_patterns(fresh, bad, fresh_order, labels, lifted)
+                proof = fresh.solve()
+                if proof is not None:
+                    learned[k].append(_radon_pattern(proof, fresh_order, bits, lifted, k))
                     break
                 fresh_plane = fresh.point()
                 failed = [
                     i
                     for i in range(k)
-                    if not fresh_mask >> i & 1
-                    and labels[i] * _side(fresh_plane, lifted[i]) <= 0
+                    if (1 if bits >> i & 1 else -1) * _side(fresh_plane, lifted[i]) <= 0
                 ]
             else:
                 total += _extend_count(
-                    ps, labels, bits, fresh, fresh_plane, fresh_order, fresh_mask, learned
+                    ps, k + 1, bits, fresh, fresh_plane, fresh_order, learned
                 )
-        labels.pop()
     return total
 
 
-def _count_under_prefix(ps, prefix):
-    """Separable full labelings extending ``prefix`` (0 if the prefix is not).
-    The learned patterns live for this one call."""
-    k = len(prefix)
-    tab, bad = _separation(ps.lifted[:k], prefix)
-    if bad is not None:
+def _count_under_prefix(ps, k, plus):
+    """Separable full labelings whose first k labels are the bits of
+    ``plus`` (0 if that prefix is not separable). The learned patterns
+    live for this one call."""
+    tab, proof = _separation(ps.lifted[:k], plus)
+    if proof is not None:
         return 0
-    plus = sum(1 << i for i, lab in enumerate(prefix) if lab > 0)
     learned = [[] for _ in ps.lifted]
-    return _extend_count(
-        ps, list(prefix), plus, tab, tab.point(), tuple(range(k)), (1 << k) - 1, learned
-    )
-
-
-def _chunk_job(args):
-    return _count_under_prefix(*args)
+    return _extend_count(ps, k, plus, tab, tab.point(), tuple(range(k)), learned)
 
 
 def count_dichotomies(ps: PointSet, workers: int = 1) -> BigCount:
@@ -395,18 +383,16 @@ def count_dichotomies(ps: PointSet, workers: int = 1) -> BigCount:
         raise ValueError(f"workers must be positive, got {workers}")
 
     if workers == 1 or n < 4:
-        return 2 * _count_under_prefix(ps, (1,))
+        return 2 * _count_under_prefix(ps, 1, 1)
 
     # split on the labels of the first few free points: enough chunks to
-    # keep every worker busy, each chunk a disjoint prefix subtree
+    # keep every worker busy, each chunk a disjoint prefix subtree; every
+    # odd mask below 2^depth is a prefix with labels[0] = +1
     depth = 1 + min(n - 1, max(1, (2 * workers - 1).bit_length()))
-    prefixes = [
-        (1,) + combo for combo in itertools.product((1, -1), repeat=depth - 1)
-    ]
-    jobs = [(ps, pref) for pref in prefixes]
+    prefixes = range(1, 1 << depth, 2)
     # a fork pool starts all of its workers at once, so never more than jobs
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as ex:
-        partials = list(ex.map(_chunk_job, jobs))
+    with ProcessPoolExecutor(max_workers=min(workers, len(prefixes))) as ex:
+        partials = list(ex.map(partial(_count_under_prefix, ps, depth), prefixes))
     return 2 * sum(partials)
 
 

@@ -4,8 +4,8 @@ Decides whether  A x <= b  has a solution x in Q^n for integer A and b,
 exactly, so "feasible" versus "infeasible" is never a floating-point
 judgement call. A caller with rational data scales each row by a positive
 integer first, which leaves the feasible set unchanged. There is no
-objective: the answer is a feasible point, or one row of the final tableau
-that proves no point exists.
+objective: the answer is a feasible point, or the Farkas multipliers of one
+row of the final tableau, which prove that no point exists.
 
 The tableau is condensed (a dictionary): one row per constraint and one
 column per nonbasic variable plus the right-hand side, with no slack
@@ -27,7 +27,9 @@ under Bland's rule. A row that no column repairs reads
 d * s_r + sum_j row[j] * s_j = row[-1] < 0 with every row[j] >= 0 over
 nonbasic slacks and 0 over free variables: no nonnegative slacks satisfy
 it, and its multipliers (d for s_r, row[j] for each s_j) combine the
-original rows into 0 . x <= a negative number (Farkas 1902).
+original rows into 0 . x <= a negative number (Farkas 1902). ``solve``
+returns them keyed by original row index, so a caller checks the proof
+without reading the tableau's layout.
 
 Arithmetic uses integer pivoting: the tableau is kept as d * T for an
 integer d > 0, the absolute value of the previous pivot element. One pivot
@@ -93,9 +95,10 @@ class Tableau:
         self.basic.append(n + len(self.rows))
         self.rows.append(new)
 
-    def solve(self) -> int | None:
+    def solve(self) -> dict[int, int] | None:
         """Dual simplex to a feasible basis: None when the rows are
-        feasible, else the index of a row proving them infeasible."""
+        feasible, else Farkas multipliers {row index i: y_i > 0} with
+        sum_i y_i * a_i = 0 and sum_i y_i * b_i < 0 over the added rows."""
         n, rows, basic, nonbasic = self.n, self.rows, self.basic, self.nonbasic
         while True:
             r = None
@@ -111,7 +114,9 @@ class Tableau:
                 if (a < 0 or a and v < n) and (col is None or v < nonbasic[col]):
                     col = j
             if col is None:
-                return r
+                y = {v - n: e for v, e in zip(nonbasic, row) if v >= n and e > 0}
+                y[basic[r] - n] = self.d
+                return y
             _pivot(self, r, col)
 
     def point(self) -> list[int]:

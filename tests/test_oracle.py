@@ -80,24 +80,26 @@ def lp_counters(monkeypatch):
 
 
 def learning_counters(monkeypatch):
-    """The patterns the enumeration learns, in order, and the labelings they
-    prune, live through shatterbound.oracle."""
+    """The patterns the enumeration learns, in order, the new point k each
+    was learned at, and the labelings they prune, live through
+    shatterbound.oracle."""
     import shatterbound.oracle as om
 
-    seen = {"patterns": [], "prunes": 0}
-    learn, refuted = om._radon_patterns, om._refuted
+    seen = {"patterns": [], "points": [], "prunes": 0}
+    learn, refuted = om._radon_pattern, om._refuted
 
-    def patterns(*args):
-        pair = learn(*args)
-        seen["patterns"].append(pair)
-        return pair
+    def pattern(y, order, plus, lifted, k):
+        found = learn(y, order, plus, lifted, k)
+        seen["patterns"].append(found)
+        seen["points"].append(k)
+        return found
 
     def pruned(*args):
         hit = refuted(*args)
         seen["prunes"] += hit
         return hit
 
-    monkeypatch.setattr(om, "_radon_patterns", patterns)
+    monkeypatch.setattr(om, "_radon_pattern", pattern)
     monkeypatch.setattr(om, "_refuted", pruned)
     return seen
 
@@ -617,9 +619,10 @@ class TestLearnedPatterns:
         learned = learning_counters(monkeypatch)
         count_dichotomies(ps)
         assert learned["patterns"]
-        for pos, neg in learned["patterns"]:
-            assert pos[0] == neg[0] and pos[1] ^ neg[1] == pos[0]
-            assert bin(pos[0]).count("1") == ps.dim + 2
+        for (m, p), k in zip(learned["patterns"], learned["points"]):
+            assert bin(m).count("1") == ps.dim + 2
+            assert m >> k & 1
+            assert p == p & m
 
     @given(small_general_position())
     @settings(max_examples=60, deadline=None)
@@ -627,42 +630,40 @@ class TestLearnedPatterns:
         with pytest.MonkeyPatch.context() as mp:
             learned = learning_counters(mp)
             count_dichotomies(ps)
-        for pair in learned["patterns"]:
-            for pattern in pair:
+        for m, p in learned["patterns"]:
+            for pattern in ((m, p), (m, m ^ p)):
                 assert is_separable(*sub_labeling(ps, pattern)) is None
 
     def test_xor_certificate_is_the_whole_square(self):
         import shatterbound.oracle as om
 
-        labels = [1, 1, -1, -1]
-        tab, bad = om._separation(XOR.lifted, labels)
-        assert bad is not None
-        assert om._radon_patterns(tab, bad, (0, 1, 2, 3), labels, XOR.lifted) == (
-            (0b1111, 0b0011), (0b1111, 0b1100)
+        _, y = om._separation(XOR.lifted, 0b0011)
+        assert y is not None
+        assert om._radon_pattern(y, (0, 1, 2, 3), 0b0011, XOR.lifted, 3) == (
+            0b1111, 0b0011
         )
 
     def test_nonzero_combination_raises(self):
         import shatterbound.oracle as om
 
-        tab, bad = om._separation(XOR.lifted, (1, 1, -1, -1))
+        _, y = om._separation(XOR.lifted, 0b0011)
         # the multipliers of one labeling do not cancel under another
         with pytest.raises(RuntimeError, match="no certificate"):
-            om._radon_patterns(tab, bad, (0, 1, 2, 3), [1, -1, 1, -1], XOR.lifted)
-        # nor does a row of a feasible tableau carry a certificate at all
-        tab, bad = om._separation(XOR.lifted, (1, -1, 1, -1))
-        assert bad is None
+            om._radon_pattern(y, (0, 1, 2, 3), 0b0101, XOR.lifted, 3)
+        # nor does a single row, under a labeling the tableau finds feasible
+        _, y = om._separation(XOR.lifted, 0b0101)
+        assert y is None
         for r in range(4):
             with pytest.raises(RuntimeError, match="no certificate"):
-                om._radon_patterns(tab, r, (0, 1, 2, 3), [1, -1, 1, -1], XOR.lifted)
+                om._radon_pattern({r: 1}, (0, 1, 2, 3), 0b0101, XOR.lifted, 3)
 
     def test_support_missing_the_new_point_raises(self):
         import shatterbound.oracle as om
 
-        labels = [1, 1, -1, -1]
-        tab, bad = om._separation(XOR.lifted, labels)
+        _, y = om._separation(XOR.lifted, 0b0011)
         lifted = XOR.lifted + ((5, 7, 1),)
         with pytest.raises(RuntimeError, match="holding point 4"):
-            om._radon_patterns(tab, bad, (0, 1, 2, 3), labels + [1], lifted)
+            om._radon_pattern(y, (0, 1, 2, 3), 0b10011, lifted, 4)
 
 
 class TestVerifyFormula:

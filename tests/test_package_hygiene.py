@@ -29,3 +29,21 @@ def test_every_export_resolves(name):
     exported = getattr(module, "__all__", [])
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == [], f"{name}.__all__ names {missing}"
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if p.name != "rational_lp.py"],
+    ids=lambda p: p.name,
+)
+def test_only_rational_lp_reads_the_tableau_layout(path):
+    # Tableau.solve hands back the Farkas multipliers, so no other module
+    # needs the dictionary's rows, labels or scale to build a proof
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    layout = {"rows", "basic", "nonbasic", "d"}
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in layout
+    ]
+    assert lines == [], f"{path.name} reads Tableau's layout at lines {lines}"

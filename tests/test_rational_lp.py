@@ -34,34 +34,20 @@ def tableau(n, A, b):
     return tab
 
 
-def farkas(tab, r):
-    """The integer multipliers of infeasible row r, one per added row: d on
-    its basic slack, the row's entry on each nonbasic slack."""
-    n, row = tab.n, tab.rows[r]
-    y = [0] * len(tab.rows)
-    y[tab.basic[r] - n] = tab.d
-    for v, e in zip(tab.nonbasic, row):
-        if v < n:
-            assert e == 0  # a free column with an entry could repair the row
-        else:
-            y[v - n] = e
-    return y
-
-
-def check_answer(tab, r, n, A, b):
-    """The answer of ``solve`` is proved by what it returns: a point that
-    meets every row exactly, or y >= 0 with y A = 0 and y b < 0."""
+def check_answer(tab, y, n, A, b):
+    """The answer of ``solve`` is proved by what it returns: None and a point
+    that meets every row exactly, or multipliers {row index: positive int}
+    with y A = 0 and y b < 0."""
     assert tab.d > 0
-    if r is None:
+    if y is None:
         x = [F(v, tab.d) for v in tab.point()]
         for a, v in zip(A, b):
             assert sum(ai * xi for ai, xi in zip(a, x)) <= v
         return True
-    assert tab.basic[r] >= n and tab.rows[r][-1] < 0
-    y = farkas(tab, r)
-    assert all(yi >= 0 for yi in y)
-    assert all(sum(yi * a[j] for yi, a in zip(y, A)) == 0 for j in range(n))
-    assert sum(yi * v for yi, v in zip(y, b)) < 0
+    assert y and all(type(i) is int and 0 <= i < len(A) for i in y)
+    assert all(type(yi) is int and yi > 0 for yi in y.values())
+    assert all(sum(yi * A[i][j] for i, yi in y.items()) == 0 for j in range(n))
+    assert sum(yi * b[i] for i, yi in y.items()) < 0
     return False
 
 
@@ -105,10 +91,10 @@ class TestKnownPrograms:
     def test_infeasible_interval_gives_its_two_rows(self):
         A, b = [[2], [-3]], [1, -2]  # x <= 1/2 and x >= 2/3
         tab = tableau(1, A, b)
-        r = tab.solve()
-        assert r is not None
-        assert not check_answer(tab, r, 1, A, b)
-        assert all(farkas(tab, r))
+        y = tab.solve()
+        assert not check_answer(tab, y, 1, A, b)
+        # 3 * (2x <= 1) + 2 * (-3x <= -2) reads 0 <= -1
+        assert y == {0: 3, 1: 2}
 
     def test_axis_boxes(self):
         # the box 0 <= x <= 1, 0 <= y <= 2 meets x + y >= 3 at its corner
@@ -212,15 +198,15 @@ class TestAgainstFourierMotzkin:
         n, first, second = case
         A, b = [a for a, _ in first], [v for _, v in first]
         tab = tableau(n, A, b)
-        r = tab.solve()
-        assert check_answer(tab, r, n, A, b) == fourier_motzkin_feasible(n, A, b)
+        y = tab.solve()
+        assert check_answer(tab, y, n, A, b) == fourier_motzkin_feasible(n, A, b)
         before = snapshot(tab)
         warm = tab.copy()
         for a, v in second:
             warm.add_row(a, v)
         A2, b2 = A + [a for a, _ in second], b + [v for _, v in second]
-        r2 = warm.solve()
-        assert check_answer(warm, r2, n, A2, b2) == fourier_motzkin_feasible(n, A2, b2)
+        y2 = warm.solve()
+        assert check_answer(warm, y2, n, A2, b2) == fourier_motzkin_feasible(n, A2, b2)
         # the copy's pivots leave the first solve's tableau as it was
         assert snapshot(tab) == before
         # a free variable that became basic never leaves
@@ -231,9 +217,9 @@ class TestAgainstFourierMotzkin:
     def test_a_solved_tableau_solves_again_without_pivots(self, case):
         n, first, second = case
         tab = tableau(n, *zip(*(first + second)))
-        r = tab.solve()
+        y = tab.solve()
         before = snapshot(tab)
-        assert tab.solve() == r
+        assert tab.solve() == y
         assert snapshot(tab) == before
 
     @given(rows_through_a_point())
