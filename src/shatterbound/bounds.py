@@ -81,36 +81,33 @@ def solve_min_n_trace(
 ) -> tuple[int, BracketTrace]:
     """Smallest n with delta_bound(n) <= ln(delta), plus the search trace.
 
-    The search walks the doubling ladder n = 1, 2, 4, ... to the first
-    point at or below the target. At n = 1 the log-bound is
-    ln 4 - eps^2/4 > 0 > ln(delta), so that point has a predecessor above
-    the target and the two bracket the crossing. Integer bisection then
-    pins the crossing. The bound need not be monotone, so the answer is
-    checked, not assumed: n* - 1 must lie above the target and 12
-    geometric tail probes past n* at or below it, else RuntimeError.
+    The search walks the doubling ladder n = 1, 2, 4, ... whose last rung
+    is the ceiling, to the first point at or below the target. At n = 1 the
+    log-bound is ln 4 - eps^2/4 > 0 > ln(delta), so that point has a
+    predecessor above the target and the two bracket the crossing. Integer
+    bisection then pins the crossing, moving the bracket's low end only to
+    points it compared above the target, so n* - 1 lies above it and n* is
+    minimal by construction. The bound need not be monotone past n*, so
+    12 geometric tail probes beyond it must lie at or below the target,
+    else RuntimeError.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     target = math.log(delta)
 
     expansion: list[tuple[int, float]] = []
-    lo, hi = None, None
-    n = 1
-    while n <= ceiling:
+    # a ceiling below 1 is the first rung, so delta_bound rejects it
+    lo, n = 0, min(1, ceiling)
+    while True:
         cur = delta_bound(n, eps, spec).log_value
         expansion.append((n, cur))
         if cur <= target:
-            hi, lo = n, n // 2
             break
-        n *= 2
-    if hi is None:
-        last = delta_bound(ceiling, eps, spec).log_value
-        if last <= target:
-            hi, lo = ceiling, n // 2
-            expansion.append((ceiling, last))
-        else:
-            raise NoBracketError(delta, eps, spec, ceiling, last)
+        if n == ceiling:
+            raise NoBracketError(delta, eps, spec, ceiling, cur)
+        lo, n = n, min(2 * n, ceiling)
 
+    hi = n
     bracket = (lo, hi)
     steps = 0
     while lo + 1 < hi:
@@ -121,13 +118,6 @@ def solve_min_n_trace(
             lo = mid
         steps += 1
     n_star = hi
-    if n_star > 1:
-        before = delta_bound(n_star - 1, eps, spec).log_value
-        if before <= target:
-            raise RuntimeError(
-                f"bisection ended at n={n_star} but n={n_star - 1} already meets "
-                f"the target: log-bound {before!r} <= {target!r}"
-            )
 
     tail: list[tuple[int, float]] = []
     m = n_star

@@ -23,6 +23,21 @@ from shatterbound.shattering import HypothesisSpec, epsilon_curve
 LN_001 = math.log(0.01)
 
 
+def bound_evaluations(monkeypatch):
+    """The n of every delta_bound call the solver makes, live."""
+    import shatterbound.bounds as bounds
+
+    seen = []
+    real = bounds.delta_bound
+
+    def counted(n, eps, spec):
+        seen.append(n)
+        return real(n, eps, spec)
+
+    monkeypatch.setattr(bounds, "delta_bound", counted)
+    return seen
+
+
 class TestDeltaBound:
     def test_single_sample(self):
         got = delta_bound(1, 0.5, HypothesisSpec(1, 1)).log_value
@@ -145,6 +160,36 @@ class TestSolveMinN:
     def test_log_count_past_the_float_range_raises(self, p):
         with pytest.raises(ValueError, match="log count is not a finite float"):
             solve_min_n(0.01, 0.05, HypothesisSpec(3, p))
+
+    @pytest.mark.parametrize(
+        ("ceiling", "expected_bracket"),
+        [(1026778, (524288, 1026778)), (1048576, (524288, 1048576))],
+        ids=["crossing-at-ceiling", "power-of-two-ceiling"],
+    )
+    def test_ceiling_is_the_ladders_last_rung(self, ceiling, expected_bracket):
+        n_star, trace = solve_min_n_trace(0.01, 0.05, HypothesisSpec(3, 16), ceiling)
+        assert n_star == 1026778
+        assert trace.bracket == expected_bracket
+        assert [n for n, _ in trace.expansion][-2:] == list(expected_bracket)
+
+    def test_ceiling_just_below_the_crossing_raises(self):
+        with pytest.raises(NoBracketError) as info:
+            solve_min_n(0.01, 0.05, HypothesisSpec(3, 16), ceiling=1026777)
+        assert info.value.ceiling == 1026777
+        assert LN_001 < info.value.last_log
+
+    def test_each_point_is_evaluated_once(self, monkeypatch):
+        # the bracket already compared n* - 1 and the ceiling, so neither is
+        # evaluated again: 21 ladder rungs up to 2^20, 19 bisection steps
+        # and 12 tail probes at the headline, the 11 rungs 1..1024 before
+        # NoBracketError
+        seen = bound_evaluations(monkeypatch)
+        solve_min_n_trace(0.01, 0.05, HypothesisSpec(3, 16))
+        assert len(seen) == len(set(seen)) == 21 + 19 + 12
+        seen.clear()
+        with pytest.raises(NoBracketError):
+            solve_min_n_trace(0.01, 0.05, HypothesisSpec(3, 16), ceiling=1024)
+        assert seen == [2**i for i in range(11)]
 
     def test_trace_expansion_is_doubling(self):
         _, trace = solve_min_n_trace(0.01, 0.05, HypothesisSpec(2, 4))

@@ -136,6 +136,15 @@ class TestSolveN:
         assert code == 3
         assert "no sample size" in err
 
+    @pytest.mark.parametrize("ceiling", ["0", "-5"])
+    def test_ceiling_below_one_exit_1(self, capsys, ceiling):
+        code, out, err = run_cli(
+            capsys, "solve-n", "--delta", "0.01", "--eps", "0.05", "--h", "3",
+            "--p", "16", f"--ceiling={ceiling}",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: sample size n must be positive, got {ceiling}\n"
+
 
 class TestSolveEps:
     def test_headline_inversion(self, capsys):
