@@ -54,12 +54,13 @@ class NoBracketError(RuntimeError):
 
 @dataclass(frozen=True)
 class BracketTrace:
-    """Audit record of the bracket expansion and bisection."""
+    """Audit record of the bracket expansion, bisection and log-bound at n*."""
 
     expansion: tuple[tuple[int, float], ...]
     bracket: tuple[int, int]
     bisection_steps: int
     tail_probes: tuple[tuple[int, float], ...]
+    delta_log_at_n: float
 
 
 def delta_bound(n: int, eps: float, spec: HypothesisSpec) -> LogNum:
@@ -88,8 +89,9 @@ def solve_min_n_trace(
     bisection then pins the crossing, moving the bracket's low end only to
     points it compared above the target, so n* - 1 lies above it and n* is
     minimal by construction. The bound need not be monotone past n*, so
-    12 geometric tail probes beyond it must lie at or below the target,
-    else RuntimeError.
+    up to 12 geometric tail probes beyond it, none past the ceiling, must
+    lie at or below the target, else RuntimeError. The trace carries n*'s
+    log-bound from its one evaluation, so callers need not repeat it.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
@@ -107,13 +109,13 @@ def solve_min_n_trace(
             raise NoBracketError(delta, eps, spec, ceiling, cur)
         lo, n = n, min(2 * n, ceiling)
 
-    hi = n
+    hi, hi_log = n, cur
     bracket = (lo, hi)
     steps = 0
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if delta_bound(mid, eps, spec).log_value <= target:
-            hi = mid
+        if (val := delta_bound(mid, eps, spec).log_value) <= target:
+            hi, hi_log = mid, val
         else:
             lo = mid
         steps += 1
@@ -121,7 +123,7 @@ def solve_min_n_trace(
 
     tail: list[tuple[int, float]] = []
     m = n_star
-    for _ in range(12):
+    while m < ceiling and len(tail) < 12:
         m = min(ceiling, max(m + 1, int(m * 1.5)))
         val = delta_bound(m, eps, spec).log_value
         tail.append((m, val))
@@ -130,14 +132,13 @@ def solve_min_n_trace(
                 f"bound re-crossed the target after n*={n_star}: log-bound "
                 f"{val!r} > {target!r} at n={m}"
             )
-        if m == ceiling:
-            break
 
     return n_star, BracketTrace(
         expansion=tuple(expansion),
         bracket=bracket,
         bisection_steps=steps,
         tail_probes=tuple(tail),
+        delta_log_at_n=hi_log,
     )
 
 

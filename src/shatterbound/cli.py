@@ -153,7 +153,7 @@ def cmd_solve_n(args) -> tuple[OutputRecord, int]:
                 "ceiling": args.ceiling},
         result={
             "n": n_star,
-            "delta_log_at_n": delta_bound(n_star, args.eps, spec).log_value,
+            "delta_log_at_n": trace.delta_log_at_n,
             "trace": {
                 "expansion": [[n, v] for n, v in trace.expansion],
                 "bracket": list(trace.bracket),

@@ -27,7 +27,6 @@ is compared against 2 * sum_{i<=h} C(n-1, i).
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -373,7 +372,8 @@ def count_dichotomies(ps: PointSet, workers: int = 1) -> BigCount:
     (w, b) -> (-w, -b)): only labelings with labels[0] = +1 are enumerated
     and the count is doubled. The total is a sum over disjoint label
     prefixes, so the result is independent of enumeration order and of how
-    the prefixes are dealt out to workers.
+    the prefixes are dealt out to workers. The process pool is imported on
+    the first call that fans out (workers > 1), not with the package.
     """
     n = len(ps)
     if n > MAX_ENUM_POINTS:
@@ -392,6 +392,7 @@ def count_dichotomies(ps: PointSet, workers: int = 1) -> BigCount:
     # odd mask below 2^depth is a prefix with labels[0] = +1
     depth = 1 + min(n - 1, (2 * workers - 1).bit_length())
     prefixes = range(1, 1 << depth, 2)
+    from concurrent.futures import ProcessPoolExecutor  # only fan-outs pay its import
     # a fork pool starts all of its workers at once, so never more than jobs
     with ProcessPoolExecutor(max_workers=min(workers, len(prefixes))) as ex:
         partials = list(ex.map(partial(_count_under_prefix, ps, depth), prefixes))

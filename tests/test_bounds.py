@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shatterbound.bounds import (
+    DEFAULT_CEILING,
     NoBracketError,
     delta_bound,
     emit_epsilon_curve,
@@ -190,6 +191,23 @@ class TestSolveMinN:
         with pytest.raises(NoBracketError):
             solve_min_n_trace(0.01, 0.05, HypothesisSpec(3, 16), ceiling=1024)
         assert seen == [2**i for i in range(11)]
+
+    def test_crossing_at_the_ceiling_probes_no_tail(self, monkeypatch):
+        # n* is the ladder's last rung, so nothing past it is probed: 21
+        # rungs up to the ceiling and 19 bisection steps, each n once
+        seen = bound_evaluations(monkeypatch)
+        _, trace = solve_min_n_trace(0.01, 0.05, HypothesisSpec(3, 16), 1026778)
+        assert len(seen) == len(set(seen)) == 21 + 19
+        assert trace.tail_probes == ()
+
+    @pytest.mark.parametrize(
+        "ceiling", [DEFAULT_CEILING, 1026778, 1048576],
+        ids=["default", "crossing-at-ceiling", "power-of-two-ceiling"],
+    )
+    def test_trace_carries_the_value_at_n_star(self, ceiling):
+        spec = HypothesisSpec(3, 16)
+        n_star, trace = solve_min_n_trace(0.01, 0.05, spec, ceiling)
+        assert trace.delta_log_at_n == delta_bound(n_star, 0.05, spec).log_value
 
     def test_trace_expansion_is_doubling(self):
         _, trace = solve_min_n_trace(0.01, 0.05, HypothesisSpec(2, 4))

@@ -136,6 +136,33 @@ class TestSolveN:
         assert code == 3
         assert "no sample size" in err
 
+    @pytest.mark.parametrize(
+        ("ceiling", "evaluations"), [(None, 52), ("1026778", 40)],
+        ids=["headline", "crossing-at-ceiling"],
+    )
+    def test_each_point_is_evaluated_once(self, capsys, monkeypatch, ceiling, evaluations):
+        # the record reports n*'s value from the solver's trace, so the
+        # command adds no evaluation of its own
+        import shatterbound.bounds as bounds
+        import shatterbound.cli as cli
+
+        seen = []
+        real = bounds.delta_bound
+
+        def counted(n, eps, spec):
+            seen.append(n)
+            return real(n, eps, spec)
+
+        monkeypatch.setattr(bounds, "delta_bound", counted)
+        monkeypatch.setattr(cli, "delta_bound", counted)
+        extra = [] if ceiling is None else ["--ceiling", ceiling]
+        code, _, _ = run_cli(
+            capsys, "solve-n", "--delta", "0.01", "--eps", "0.05", "--h", "3",
+            "--p", "16", *extra,
+        )
+        assert code == 0
+        assert len(seen) == len(set(seen)) == evaluations
+
     @pytest.mark.parametrize("ceiling", ["0", "-5"])
     def test_ceiling_below_one_exit_1(self, capsys, ceiling):
         code, out, err = run_cli(

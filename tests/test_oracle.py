@@ -490,8 +490,6 @@ class TestCountDichotomies:
             assert count_dichotomies(ps, workers=2) == count_dichotomies(ps)
 
     def test_pool_never_exceeds_the_job_count(self, monkeypatch):
-        import shatterbound.oracle as om
-
         sizes = []
 
         class SerialPool:
@@ -507,7 +505,7 @@ class TestCountDichotomies:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(om, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         ps = generate_general_position(5, 2, 3)
         # n = 5 splits into 2^4 = 16 prefix jobs however many workers ask
         assert count_dichotomies(ps, workers=64) == count_dichotomies(ps)

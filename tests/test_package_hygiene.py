@@ -1,5 +1,7 @@
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,19 @@ def test_only_rational_lp_reads_the_tableau_layout(path):
         if isinstance(node, ast.Attribute) and node.attr in layout
     ]
     assert lines == [], f"{path.name} reads Tableau's layout at lines {lines}"
+
+
+def test_import_loads_no_process_pool():
+    # the oracle imports its pool on the first fan-out, so a process that
+    # only computes bounds pays for neither module
+    script = (
+        f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); "
+        "import shatterbound, shatterbound.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", script],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
