@@ -14,9 +14,6 @@ from .bounds import (
 from .logarithmetic import (
     BigCount,
     LogNum,
-    exact_binomial,
-    log_binomial,
-    log_of_bigcount,
     log_pow,
     log_sum,
 )
@@ -58,12 +55,9 @@ __all__ = [
     "delta_bound",
     "emit_epsilon_curve",
     "epsilon_curve",
-    "exact_binomial",
     "gamma_const",
     "generate_general_position",
     "is_separable",
-    "log_binomial",
-    "log_of_bigcount",
     "log_pow",
     "log_sum",
     "psi",

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .logarithmetic import LN2, LogNum
-from .shattering import HypothesisSpec, epsilon_curve, shatter_log
+from .shattering import HypothesisSpec, _require_eps, epsilon_curve, shatter_log
 
 __all__ = [
     "BracketTrace",
@@ -69,8 +69,7 @@ def delta_bound(n: int, eps: float, spec: HypothesisSpec) -> LogNum:
     Values above 0 (bound exceeding 1) are returned as-is; they are vacuous
     but they are what the formula produces.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    _require_eps(eps)
     return LogNum(LN2 + shatter_log(n, spec).log_value - n * eps * eps / 4.0)
 
 

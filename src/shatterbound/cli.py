@@ -366,7 +366,8 @@ def main(argv=None) -> int:
     except NoBracketError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except ValueError as exc:
+    # an n past the float range overflows converting to float
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(text)

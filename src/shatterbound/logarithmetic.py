@@ -1,10 +1,11 @@
-"""Exact big-integer and log-domain arithmetic shared by every formula path.
+"""The arithmetic under the two formula paths: binomial rows, exact and in
+log space, and the log-domain number type with its sum and power.
 
 Counts of realizable labelings blow past any fixed-precision float long
 before the sample sizes of interest, so every quantity travels either as a
-python int (exact) or as its natural logarithm (LogNum). The two paths are
-kept mutually checkable: anything computed in log space can be compared
-against the exact integer it represents.
+python int (exact, BigCount) or as its natural logarithm (LogNum).
+_binomial_row and _log_binomial_row build the same row of C(m, i) on each
+path, so the two stay checkable against each other term by term.
 """
 
 from __future__ import annotations
@@ -17,11 +18,8 @@ __all__ = [
     "BigCount",
     "LogNum",
     "LN2",
-    "exact_binomial",
-    "log_binomial",
     "log_sum",
     "log_pow",
-    "log_of_bigcount",
 ]
 
 LN2 = math.log(2.0)
@@ -45,33 +43,6 @@ class LogNum:
     def __post_init__(self) -> None:
         if math.isnan(self.log_value):
             raise ValueError("LogNum cannot carry NaN")
-
-    @classmethod
-    def from_value(cls, x: float) -> "LogNum":
-        """Encode a nonnegative linear-scale value."""
-        if x < 0:
-            raise ValueError(f"LogNum represents nonnegative quantities, got {x}")
-        return cls(math.log(x)) if x > 0 else cls(float("-inf"))
-
-    @classmethod
-    def zero(cls) -> "LogNum":
-        return cls(float("-inf"))
-
-    def is_zero(self) -> bool:
-        return self.log_value == float("-inf")
-
-    def value(self) -> float:
-        """Back to linear scale; overflows to inf beyond the float range."""
-        return math.exp(self.log_value)
-
-
-def exact_binomial(n: int, k: int) -> BigCount:
-    """C(n, k) as an exact integer; 0 when k > n, and C(n, 0) = 1.
-
-    math.comb multiplies the k short factors directly, so even C(10**6, 3)
-    costs microseconds.
-    """
-    return math.comb(n, k)
 
 
 def _binomial_row(m: int, k: int) -> Iterator[BigCount]:
@@ -104,15 +75,6 @@ def _log_binomial_row(m: int, k: int) -> list[float]:
     return row
 
 
-def log_binomial(n: int, k: int) -> LogNum:
-    """ln C(n, k) in O(min(k, n-k)) steps; LogNum.zero() when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError(f"binomial arguments must be nonnegative, got ({n}, {k})")
-    if k > n:
-        return LogNum.zero()
-    return LogNum(_log_binomial_row(n, min(k, n - k))[-1])
-
-
 def _log_add(a: float, b: float) -> float:
     """ln(e^a + e^b) on plain floats, -inf standing for zero.
 
@@ -138,13 +100,3 @@ def log_pow(a: LogNum, p: int) -> LogNum:
         raise ValueError(f"exponent must be a positive integer, got {p}")
     return LogNum(p * a.log_value)
 
-
-def log_of_bigcount(v: BigCount) -> LogNum:
-    """Natural log of an exact count of any size; -inf for zero.
-
-    math.log handles arbitrary ints without intermediate float conversion,
-    so counts with hundreds of digits are fine.
-    """
-    if v < 0:
-        raise ValueError(f"counts are nonnegative, got {v}")
-    return LogNum(math.log(v)) if v > 0 else LogNum.zero()

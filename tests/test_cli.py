@@ -431,6 +431,29 @@ class TestCountPastTheDigitLimit:
         assert str(count) in out
 
 
+class TestNPastTheFloatRange:
+    # n * eps^2 / 4 and the curve grid's n_end / n_start turn n into a float,
+    # which overflows past about 1.8e308; solve-n's ladder climbs there when
+    # the ceiling does, passing 2^1024
+    BIG = str(10**400)
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--n", BIG, "--eps", "0.1", "--h", "1"],
+        ["solve-eps", "--n", BIG, "--delta", "0.1", "--h", "1"],
+        ["curve", "--n-start", "2", "--n-end", BIG, "--n-points", "3",
+         "--h-list", "1", "--p-list", "1", "--out", "c.csv"],
+        ["solve-n", "--delta", "0.01", "--eps", "1e-300", "--h", "1",
+         "--ceiling", BIG],
+    ], ids=lambda argv: argv[0])
+    def test_exit_1_with_one_error_line(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestParserIsBuiltOnce:
     def test_same_parser_every_call(self):
         assert build_parser() is build_parser()

@@ -65,3 +65,17 @@ def test_import_loads_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_readme_library_block_runs():
+    # the README's API example names public functions, so it must keep
+    # running when one goes, and give the values its comments state
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8"
+    )
+    section = readme.split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    exec(block, scope)
+    assert scope["solve_min_n"](0.01, 0.05, scope["spec"]) == 1026778
+    assert scope["count_dichotomies"](scope["ps"]) == 32
