@@ -5,8 +5,8 @@ as JSON whose parse reproduces the record, --format plain prints the same
 values as key: value text. Identical invocations produce byte-identical
 output: no timestamps, no hidden entropy, all randomness behind --seed.
 
-Exit codes: 0 success/PASS, 1 usage error, 2 verification FAIL,
-3 numeric non-convergence.
+Exit codes: 0 success/PASS, 1 usage error, 2 verification FAIL (the
+record is flagged mismatch), 3 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -60,16 +60,7 @@ class OutputRecord:
     provenance: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "command": self.command,
-                "inputs": self.inputs,
-                "result": self.result,
-                "flags": self.flags,
-                "provenance": self.provenance,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(vars(self), sort_keys=True)  # asdict deep-copies every leaf
 
     @classmethod
     def from_json(cls, text: str) -> "OutputRecord":
@@ -113,41 +104,39 @@ def _require(cond: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def cmd_coef(args) -> tuple[OutputRecord, int]:
+def cmd_coef(args) -> OutputRecord:
     spec = HypothesisSpec(args.h, args.p)
     log = shatter_log(args.n, spec).log_value
-    record = OutputRecord(
+    return OutputRecord(
         command="coef",
         inputs={"n": args.n, "h": spec.h, "p": spec.p},
         result={"count": shatter_multi(args.n, spec), "log": log},
         flags=["saturated"] if is_saturated(args.n, spec.h) else [],
         provenance={"path": "exact"},
     )
-    return record, EXIT_OK
 
 
-def cmd_bound(args) -> tuple[OutputRecord, int]:
+def cmd_bound(args) -> OutputRecord:
     spec = HypothesisSpec(args.h, args.p)
     delta_log = delta_bound(args.n, args.eps, spec).log_value
     flags = ["vacuous"] if delta_log > 0.0 else []
     if args.clamp and delta_log > 0.0:
         delta_log = 0.0
         flags.append("clamped")
-    record = OutputRecord(
+    return OutputRecord(
         command="bound",
         inputs={"n": args.n, "eps": args.eps, "h": spec.h, "p": spec.p,
-                "clamp": bool(args.clamp)},
+                "clamp": args.clamp},
         result={"delta": sci_from_log(delta_log), "delta_log": delta_log},
         flags=flags,
         provenance={"path": "log"},
     )
-    return record, EXIT_OK
 
 
-def cmd_solve_n(args) -> tuple[OutputRecord, int]:
+def cmd_solve_n(args) -> OutputRecord:
     spec = HypothesisSpec(args.h, args.p)
     n_star, trace = solve_min_n_trace(args.delta, args.eps, spec, ceiling=args.ceiling)
-    record = OutputRecord(
+    return OutputRecord(
         command="solve-n",
         inputs={"delta": args.delta, "eps": args.eps, "h": spec.h, "p": spec.p,
                 "ceiling": args.ceiling},
@@ -164,26 +153,24 @@ def cmd_solve_n(args) -> tuple[OutputRecord, int]:
         flags=["saturated"] if is_saturated(n_star, spec.h) else [],
         provenance={"path": "log"},
     )
-    return record, EXIT_OK
 
 
-def cmd_solve_eps(args) -> tuple[OutputRecord, int]:
+def cmd_solve_eps(args) -> OutputRecord:
     spec = HypothesisSpec(args.h, args.p)
     eps = solve_max_eps(args.n, args.delta, spec)
     flags = ["vacuous"] if eps >= 1.0 else []
     if is_saturated(args.n, spec.h):
         flags.append("saturated")
-    record = OutputRecord(
+    return OutputRecord(
         command="solve-eps",
         inputs={"n": args.n, "delta": args.delta, "h": spec.h, "p": spec.p},
         result={"epsilon": eps, "delta_log_target": math.log(args.delta)},
         flags=flags,
         provenance={"path": "log"},
     )
-    return record, EXIT_OK
 
 
-def cmd_curve(args) -> tuple[OutputRecord, int]:
+def cmd_curve(args) -> OutputRecord:
     # not a repeat of emit_epsilon_curve's n >= 2 check: log_spaced_grid runs
     # first and fails on n_start <= 0 (division by zero, negative ratio)
     _require(args.n_start >= 2, f"--n-start must be >= 2, got {args.n_start}")
@@ -203,7 +190,9 @@ def cmd_curve(args) -> tuple[OutputRecord, int]:
             fh.write(csv_text)
     except OSError as exc:
         raise UsageError(f"cannot write {args.out}: {exc}") from exc
-    record = OutputRecord(
+    if args.format == "csv":
+        sys.stdout.write(csv_text)
+    return OutputRecord(
         command="curve",
         inputs={
             "n_start": args.n_start,
@@ -218,14 +207,11 @@ def cmd_curve(args) -> tuple[OutputRecord, int]:
         flags=[],
         provenance={"path": "log"},
     )
-    if args.format == "csv":
-        sys.stdout.write(csv_text)
-    return record, EXIT_OK
 
 
-def cmd_verify(args) -> tuple[OutputRecord, int]:
+def cmd_verify(args) -> OutputRecord:
     rep = verify_formula(args.n, args.h, args.trials, args.seed, workers=args.workers)
-    record = OutputRecord(
+    return OutputRecord(
         command="verify",
         inputs={"n": args.n, "h": args.h, "trials": args.trials,
                 "seed": args.seed, "workers": args.workers},
@@ -240,7 +226,6 @@ def cmd_verify(args) -> tuple[OutputRecord, int]:
         flags=[] if rep.passed else ["mismatch"],
         provenance={"path": "exact", "seed": args.seed, "prng": rep.prng},
     )
-    return record, EXIT_OK if rep.passed else EXIT_VERIFY_FAIL
 
 
 def _plain_lines(record: OutputRecord) -> list[str]:
@@ -292,41 +277,46 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="shatterbound", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)  # main calls args.run(args)
+        return p
+
     def add_format(p, csv_ok=False):
         choices = ["plain", "json"] + (["csv"] if csv_ok else [])
         p.add_argument("--format", choices=choices, default="plain")
 
-    p = sub.add_parser("coef", help="shattering count for (n, h, p)")
+    def add_family(p):
+        p.add_argument("--h", type=int, required=True)
+        p.add_argument("--p", type=int, default=1)
+
+    p = add_command("coef", cmd_coef, "shattering count for (n, h, p)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--p", type=int, default=1)
+    add_family(p)
     add_format(p)
 
-    p = sub.add_parser("bound", help="divergence probability bound")
+    p = add_command("bound", cmd_bound, "divergence probability bound")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--p", type=int, default=1)
+    add_family(p)
     p.add_argument("--clamp", action="store_true",
                    help="report 1.0 instead of a vacuous value above 1")
     add_format(p)
 
-    p = sub.add_parser("solve-n", help="minimal sample size for (delta, eps)")
+    p = add_command("solve-n", cmd_solve_n, "minimal sample size for (delta, eps)")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--p", type=int, default=1)
+    add_family(p)
     p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
     add_format(p)
 
-    p = sub.add_parser("solve-eps", help="maximal divergence for (n, delta)")
+    p = add_command("solve-eps", cmd_solve_eps, "maximal divergence for (n, delta)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--p", type=int, default=1)
+    add_family(p)
     add_format(p)
 
-    p = sub.add_parser("curve", help="divergence-vs-n table for (h, p) families")
+    p = add_command("curve", cmd_curve, "divergence-vs-n table for (h, p) families")
     p.add_argument("--n-start", type=int, required=True)
     p.add_argument("--n-end", type=int, required=True)
     p.add_argument("--n-points", type=int, required=True)
@@ -335,7 +325,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", type=str, required=True)
     add_format(p, csv_ok=True)
 
-    p = sub.add_parser("verify", help="brute-force oracle vs the counting formula")
+    p = add_command("verify", cmd_verify, "brute-force oracle vs the counting formula")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--trials", type=int, default=3)
@@ -346,21 +336,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-_HANDLERS = {
-    "coef": cmd_coef,
-    "bound": cmd_bound,
-    "solve-n": cmd_solve_n,
-    "solve-eps": cmd_solve_eps,
-    "curve": cmd_curve,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        record, code = _HANDLERS[args.command](args)
+        record = args.run(args)
         # a count past CPython's int-to-str digit limit is a ValueError here
         text = _render(record, args.format)
     except NoBracketError as exc:
@@ -371,7 +351,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(text)
-    return code
+    return EXIT_VERIFY_FAIL if "mismatch" in record.flags else EXIT_OK
 
 
 def entrypoint() -> None:

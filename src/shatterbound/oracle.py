@@ -26,6 +26,7 @@ is compared against 2 * sum_{i<=h} C(n-1, i).
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -372,8 +373,10 @@ def count_dichotomies(ps: PointSet, workers: int = 1) -> BigCount:
     (w, b) -> (-w, -b)): only labelings with labels[0] = +1 are enumerated
     and the count is doubled. The total is a sum over disjoint label
     prefixes, so the result is independent of enumeration order and of how
-    the prefixes are dealt out to workers. The process pool is imported on
-    the first call that fans out (workers > 1), not with the package.
+    the prefixes are dealt out to workers. The pool starts at most one
+    process per CPU, so on one CPU the count runs serially. The process
+    pool is imported on the first call that fans out (workers > 1), not
+    with the package.
     """
     n = len(ps)
     if n > MAX_ENUM_POINTS:
@@ -383,6 +386,8 @@ def count_dichotomies(ps: PointSet, workers: int = 1) -> BigCount:
         )
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
+    # a fork pool starts all of its workers at once: at most one per CPU
+    workers = min(workers, os.cpu_count() or 1)
 
     if workers == 1 or n < 4:
         return 2 * _count_under_prefix(ps, 1, 1)
@@ -393,7 +398,7 @@ def count_dichotomies(ps: PointSet, workers: int = 1) -> BigCount:
     depth = 1 + min(n - 1, (2 * workers - 1).bit_length())
     prefixes = range(1, 1 << depth, 2)
     from concurrent.futures import ProcessPoolExecutor  # only fan-outs pay its import
-    # a fork pool starts all of its workers at once, so never more than jobs
+    # and no more processes than jobs
     with ProcessPoolExecutor(max_workers=min(workers, len(prefixes))) as ex:
         partials = list(ex.map(partial(_count_under_prefix, ps, depth), prefixes))
     return 2 * sum(partials)

@@ -16,6 +16,8 @@ from shatterbound.cli import (
 )
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+COMMANDS = ("coef", "bound", "solve-n", "solve-eps", "curve", "verify")
 
 
 def run_cli(capsys, *argv):
@@ -331,13 +333,17 @@ class TestVerify:
 
 
 class TestOutputContract:
-    def test_json_round_trip(self, capsys):
-        _, out, _ = run_cli(
-            capsys, "coef", "--n", "5", "--h", "2", "--format", "json"
-        )
-        rec = OutputRecord.from_json(out)
-        assert rec.to_json() + "\n" == out
-        assert rec == OutputRecord.from_json(rec.to_json())
+    def test_json_round_trip(self, capsys, tmp_path, monkeypatch):
+        """Every record shape the golden file prints as JSON: flat counts,
+        the nested solve-n trace, the verify trials and the curve record."""
+        monkeypatch.chdir(tmp_path)  # the curve case writes c.csv
+        cases = [c for c in GOLDEN if "json" in c["argv"] and c["stdout"]]
+        assert {c["argv"][0] for c in cases} == set(COMMANDS)
+        for case in cases:
+            _, out, _ = run_cli(capsys, *case["argv"])
+            rec = OutputRecord.from_json(out)
+            assert rec.to_json() + "\n" == out
+            assert rec == OutputRecord.from_json(rec.to_json())
 
     def test_plain_and_json_carry_identical_values(self, capsys):
         _, plain, _ = run_cli(capsys, "coef", "--n", "9", "--h", "3", "--p", "2")
@@ -478,7 +484,45 @@ class TestParserIsBuiltOnce:
         assert out == first.stdout
 
 
-GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+class TestUsageLines:
+    """The usage text argparse prints at an 80-column terminal, pinned so
+    that declaring options in shared helpers keeps their order. Only the
+    usage is compared: help section headings vary across Python versions."""
+
+    USAGE = {
+        "": "usage: shatterbound [-h] {coef,bound,solve-n,solve-eps,curve,verify} ...\n",
+        "coef": "usage: shatterbound coef [-h] --n N --h H [--p P] [--format {plain,json}]\n",
+        "bound": (
+            "usage: shatterbound bound [-h] --n N --eps EPS --h H [--p P] [--clamp]\n"
+            "                          [--format {plain,json}]\n"
+        ),
+        "solve-n": (
+            "usage: shatterbound solve-n [-h] --delta DELTA --eps EPS --h H [--p P]\n"
+            "                            [--ceiling CEILING] [--format {plain,json}]\n"
+        ),
+        "solve-eps": (
+            "usage: shatterbound solve-eps [-h] --n N --delta DELTA --h H [--p P]\n"
+            "                              [--format {plain,json}]\n"
+        ),
+        "curve": (
+            "usage: shatterbound curve [-h] --n-start N_START --n-end N_END --n-points\n"
+            "                          N_POINTS --h-list H_LIST --p-list P_LIST --out OUT\n"
+            "                          [--format {plain,json,csv}]\n"
+        ),
+        "verify": (
+            "usage: shatterbound verify [-h] --n N --h H [--trials TRIALS] [--seed SEED]\n"
+            "                           [--workers WORKERS] [--format {plain,json}]\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("command", ["", *COMMANDS])
+    def test_usage_text(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out.split("\n\n")[0] + "\n"
+        assert usage == self.USAGE[command]
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=lambda c: " ".join(c["argv"]))
