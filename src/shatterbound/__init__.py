@@ -23,6 +23,7 @@ from .oracle import (
     count_dichotomies,
     generate_general_position,
     is_separable,
+    separable_masks,
     verify_formula,
 )
 from .shattering import (
@@ -61,6 +62,7 @@ __all__ = [
     "log_pow",
     "log_sum",
     "psi",
+    "separable_masks",
     "shatter_log",
     "shatter_multi",
     "shatter_upper_closed",

@@ -274,7 +274,8 @@ def _render(record: OutputRecord, fmt: str) -> str:
 def build_parser() -> _Parser:
     """The argparse tree, built on first use and shared by every later call;
     parsing only reads it, so no state passes from one call to the next."""
-    parser = _Parser(prog="shatterbound", description=__doc__)
+    # the docstring's first paragraph: the rest is notes for maintainers
+    parser = _Parser(prog="shatterbound", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name, run, help):
@@ -325,12 +326,15 @@ def build_parser() -> _Parser:
     p.add_argument("--out", type=str, required=True)
     add_format(p, csv_ok=True)
 
-    p = add_command("verify", cmd_verify, "brute-force oracle vs the counting formula")
+    p = add_command("verify", cmd_verify,
+                    "separable labelings of random sets vs the formula")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="must be positive; echoed in the record, the count "
+                        "runs in one process")
     add_format(p)
 
     return parser

@@ -1,16 +1,26 @@
 """Brute-force dichotomy counting on exact rational point sets.
 
-Independent check of the counting formula: generate n points in general
-position in dimension h, enumerate label vectors in {-1,+1}^n, and decide
-for each one whether some affine hyperplane strictly separates the classes.
-Each point x is also kept as its integer lift k * (x, 1), the same ray as
-(x, 1), with k the lcm of x's denominators. The general-position test shares
-one fraction-free elimination of the lifted rows along each prefix of h - 1
-points and decides every (h+1)-subset through it from the later rows'
-projections onto its 2-D complement. Separability is exact feasibility of
+Two independent checks of the counting formula 2 * sum_{i<=h} C(n-1, i):
+generate n points in general position in dimension h, and find the label
+vectors in {-1,+1}^n whose classes some affine hyperplane strictly
+separates, in two exact ways that share only the point set. A labeling is
+one int whose bit i is set when point i is labelled +1. Each point x is also
+kept as its integer lift k * (x, 1), the same ray as (x, 1), with k the lcm
+of x's denominators. One walk over index subsets extends a fraction-free
+elimination of the lifted rows along each prefix of h - 1 points and hands
+the prefix's 2-D complement to a visitor. The general-position test decides
+every (h+1)-subset through the prefix from the later rows' projections.
+
+The mask oracle, ``separable_masks``, runs no LP, and ``verify_formula``
+counts with it. In general position a separating plane can be moved onto h
+of the points without changing its labeling (Cover 1965), so the separable
+labelings are the sign vectors of the planes through h points, read off the
+same walk's projections, each with every labeling of those h points.
+
+The LP oracle, ``count_dichotomies``, is the reference the test suite holds
+the mask oracle to. Separability is exact feasibility of
 labels[i] * (W . lift_i) >= 1 over a free plane W = (w, b) (Gordan 1873),
-so "separable" versus "not" is never a floating-point judgement call. A
-labeling is one int whose bit i is set when point i is labelled +1. The
+so "separable" versus "not" is never a floating-point judgement call. The
 enumeration decides each label prefix once, cold at the root and otherwise
 by dual simplex from the tableau of the last solve above it. That tableau
 holds only the rows of points some plane on the branch failed; every
@@ -20,8 +30,7 @@ Kelley 1960). A re-solve that ends infeasible hands back Farkas
 multipliers, which pick a sub-labeling of at most h + 2 points whose
 weighted lifted rows cancel exactly (Kirchberger 1903); it is checked in
 integers and kept once, and a later prefix that agrees with it or with its
-negation over its support is pruned without a solve. The resulting count
-is compared against 2 * sum_{i<=h} C(n-1, i).
+negation over its support is pruned without a solve.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ __all__ = [
     "generate_general_position",
     "is_separable",
     "count_dichotomies",
+    "separable_masks",
     "verify_formula",
 ]
 
@@ -88,43 +98,63 @@ def _extend(rows, cols, d, y):
 
 
 def _side(normal, y) -> int:
-    """normal . y: in the position test, one coordinate of y's projection
-    onto the complement of a prefix; for a plane W = (w, b), the side of y
-    times its lift factor."""
+    """normal . y: in the subset walk's visitors, one coordinate of y's
+    projection onto the complement of a prefix; for a plane W = (w, b), the
+    side of y times its lift factor."""
     return sum(map(mul, normal, y))
 
 
-def _in_general_position(lifted, dim) -> bool:
-    """Every min(dim + 1, n) lifted rows are independent (see PointSet)."""
-    m = min(dim + 1, len(lifted))
+def _prefix_forms(lifted, dim, room, visit) -> bool:
+    """Walk every (dim - 1)-subset P of the lifted rows that has ``room``
+    rows after its last index, depth first over index subsets: a child adds
+    one later row to its parent's fraction-free elimination, so subsets
+    sharing a prefix share its work. At P the form gives integer vectors
+    u, v spanning the complement of P's rows (u . p = v . p = 0 for every
+    row p of P), and the walk calls visit(P, u, v), P a tuple of indices.
+    Returns False as soon as some P's rows are dependent or a visit returns
+    False, else True. With room <= 0 there are fewer than dim rows: the walk
+    takes them in order and stops once it has eliminated all of them."""
+    n = len(lifted)
 
-    def walk(rows, cols, d, start, depth):
-        if depth == m:  # n < dim: the n rows are independent
-            return True
+    def walk(rows, cols, d, prefix):
+        depth = len(prefix)
         if depth == dim - 1:
-            # u, v span the prefix's complement: prefix + {y, z} is independent
-            # iff (u.y, v.y) and (u.z, v.z) are nonzero and not parallel
             f, g = (j for j in range(dim + 1) if j not in cols)
             u, v = [0] * (dim + 1), [0] * (dim + 1)
             u[f] = v[g] = d
             for row, c in zip(rows, cols):
                 u[c], v[c] = -row[f], -row[g]
-            seen = set()
-            for y in lifted[start:]:
-                a, b = _side(u, y), _side(v, y)
-                # the direction, signed so that its first nonzero entry is positive
-                k = gcd(a, b) if (a, b) > (0, 0) else -gcd(a, b)
-                if not k or (a // k, b // k) in seen:
-                    return False
-                seen.add((a // k, b // k))
+            return visit(prefix, u, v)
+        if depth == n:
             return True
-        for j in range(start, len(lifted) - m + depth + 1):  # room for a full subset
+        start = prefix[-1] + 1 if prefix else 0
+        for j in range(start, n - room - dim + 2 + depth):  # room for the rest of P
             child = _extend(rows, cols, d, lifted[j])
-            if child is None or not walk(*child, j + 1, depth + 1):
+            if child is None or not walk(*child, prefix + (j,)):
                 return False
         return True
 
-    return walk((), (), 1, 0, 0)
+    return walk((), (), 1, ())
+
+
+def _in_general_position(lifted, dim) -> bool:
+    """Every min(dim + 1, n) lifted rows are independent (see PointSet)."""
+
+    def later_rows_apart(prefix, u, v):
+        # prefix + {y, z} is independent iff (u.y, v.y) and (u.z, v.z) are
+        # nonzero and not parallel
+        seen = set()
+        for y in lifted[prefix[-1] + 1 if prefix else 0:]:
+            a, b = _side(u, y), _side(v, y)
+            # the direction, signed so that its first nonzero entry is positive
+            k = gcd(a, b) if (a, b) > (0, 0) else -gcd(a, b)
+            if not k or (a // k, b // k) in seen:
+                return False
+            seen.add((a // k, b // k))
+        return True
+
+    # n <= dim: the one subset is all n rows, so fewer than 2 rows follow P
+    return _prefix_forms(lifted, dim, min(2, len(lifted) - dim + 1), later_rows_apart)
 
 
 @dataclass(frozen=True)
@@ -139,8 +169,8 @@ class PointSet:
     integer vectors spanning the complement of the prefix, and each later
     row is projected onto them once, two dot products per row. ``seed`` and
     ``resamples`` record generation provenance when applicable. ``lifted``
-    holds each point's integer lift, read by the position test and the
-    separability tableau.
+    holds each point's integer lift, read by the position test and by both
+    oracles.
     """
 
     dim: int
@@ -404,6 +434,60 @@ def count_dichotomies(ps: PointSet, workers: int = 1) -> BigCount:
     return 2 * sum(partials)
 
 
+def separable_masks(ps: PointSet) -> frozenset[int]:
+    """The labelings of ps that some hyperplane strictly separates, each as
+    an int whose bit i is set when point i is labelled +1, found without an
+    LP.
+
+    n <= h + 1 points in general position are shattered: all 2^n labelings.
+    Otherwise a separating plane keeps its labeling while it is moved until
+    it passes through h of the points, and since their lifted rows are
+    independent, a small tilt about them gives those h points any labels
+    and moves no other point across (Cover 1965). So the separable labelings
+    are the union, over every h-subset S, of the sign vector of
+    det[lifted(S); lifted(z)] over the points z outside S and of its
+    negation, each with all 2^h labelings of S. The walk shared with the
+    position test reaches S as P + {y}, y after P's last index; with
+    (a_z, b_z) = (u . z, v . z) the projection of z onto P's complement,
+    a_y * b_z - a_z * b_y is that determinant times a nonzero factor fixed
+    by S, whose sign the negation makes irrelevant.
+    """
+    n, h = len(ps), ps.dim
+    if n > MAX_ENUM_POINTS:
+        raise ValueError(
+            f"enumeration guard: n={n} exceeds {MAX_ENUM_POINTS} points "
+            f"(2^n labelings is past desk scale)"
+        )
+    if n <= h + 1:
+        return frozenset(range(1 << n))
+    lifted = ps.lifted
+    full = (1 << n) - 1
+    masks = set()
+
+    def planes_through(prefix, u, v):
+        held = sum(1 << i for i in prefix)
+        tilts = [0]  # the 2^(h-1) labelings of P
+        for i in prefix:
+            tilts += [t | 1 << i for t in tilts]
+        # every point outside P, as (its bit, its projection)
+        proj = [
+            (1 << i, _side(u, z), _side(v, z))
+            for i, z in enumerate(lifted)
+            if not held >> i & 1
+        ]
+        after = held.bit_length()  # S = P + {y} for each y past P's last index
+        for ybit, ay, by in proj:
+            if ybit >> after:
+                plus = sum(bit for bit, a, b in proj if ay * b > a * by)
+                minus = full ^ plus ^ held ^ ybit
+                for t in tilts:
+                    masks.update((plus | t, minus | t, plus | t | ybit, minus | t | ybit))
+        return True
+
+    _prefix_forms(lifted, h, 1, planes_through)
+    return frozenset(masks)
+
+
 @dataclass(frozen=True)
 class VerifyTrial:
     seed: int
@@ -428,23 +512,29 @@ class VerifyReport:
 def verify_formula(
     n: int, h: int, trials: int, seed: int, workers: int = 1
 ) -> VerifyReport:
-    """Draw ``trials`` fresh general-position sets and count dichotomies on each.
+    """Draw ``trials`` fresh general-position sets and count the separable
+    labelings of each as ``len(separable_masks(ps))``.
 
     PASS means every trial matched 2 * sum_{i<=h} C(n-1, i) exactly. Trial
     seeds are derived from the master seed so runs are reproducible while
-    trials stay independent draws.
+    trials stay independent draws. ``workers`` must be positive but fans
+    nothing out: the mask oracle runs in this process. The LP enumeration,
+    ``count_dichotomies``, is the reference the test suite holds the mask
+    oracle to.
     """
     if n > MAX_ENUM_POINTS:
         raise ValueError(f"size guard: n={n} exceeds {MAX_ENUM_POINTS}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
     master = random.Random(seed)
     trial_seeds = [master.randrange(2**32) for _ in range(trials)]
     expected = shatter_multi(n, HypothesisSpec(h, 1))
     results = []
     for ts in trial_seeds:
         ps = generate_general_position(n, h, ts)
-        cnt = count_dichotomies(ps, workers=workers)
+        cnt = len(separable_masks(ps))
         results.append(VerifyTrial(seed=ts, resamples=ps.resamples, count=cnt))
     return VerifyReport(
         n=n,

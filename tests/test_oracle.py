@@ -13,6 +13,7 @@ from shatterbound.oracle import (
     count_dichotomies,
     generate_general_position,
     is_separable,
+    separable_masks,
     verify_formula,
 )
 from shatterbound.shattering import HypothesisSpec, shatter_multi
@@ -104,16 +105,27 @@ def learning_counters(monkeypatch):
     return seen
 
 
-def brute_force_count(ps):
-    """Labelings of ps that the cold is_separable certifies, one solve each;
-    every certificate must lie on the L1 sphere sum |w_j| + |b| = 1."""
-    total = 0
+def brute_force_masks(ps):
+    """Labelings of ps that the cold is_separable certifies, one solve each,
+    as plus-bit masks; every certificate must lie on the L1 sphere
+    sum |w_j| + |b| = 1."""
+    masks = set()
     for labels in itertools.product((1, -1), repeat=len(ps)):
         cert = is_separable(ps, labels)
         if cert is not None:
             assert sum(abs(wi) for wi in cert.w) + abs(cert.b) == 1
-            total += 1
-    return total
+            masks.add(sum(1 << i for i, lab in enumerate(labels) if lab > 0))
+    return masks
+
+
+def mask_count(ps):
+    return len(separable_masks(ps))
+
+
+# the LP enumeration and the mask oracle, for tests that hold both to one value
+BOTH_ORACLES = pytest.mark.parametrize(
+    "count", [count_dichotomies, mask_count], ids=["lp", "masks"]
+)
 
 
 @st.composite
@@ -474,10 +486,11 @@ class TestCountDichotomies:
             ps = generate_general_position(6, 2, seed)
             assert count_dichotomies(ps) % 2 == 0
 
-    def test_enumeration_guard(self):
+    @BOTH_ORACLES
+    def test_enumeration_guard(self, count):
         ps = PointSet(dim=1, points=tuple((F(i),) for i in range(21)))
         with pytest.raises(ValueError, match="guard"):
-            count_dichotomies(ps)
+            count(ps)
 
     def test_workers_do_not_change_the_count(self):
         ps = generate_general_position(8, 2, 13)
@@ -534,16 +547,18 @@ class TestCountDichotomies:
         limit = cpus or 1
         assert sizes == ([] if limit == 1 else [limit, 2])
 
-    def test_invariant_under_point_order(self):
+    @BOTH_ORACLES
+    def test_invariant_under_point_order(self, count):
         ps = generate_general_position(7, 2, 21)
         shuffled = list(ps.points)
         random.Random(0).shuffle(shuffled)
         ps2 = PointSet(dim=2, points=tuple(shuffled))
-        assert count_dichotomies(ps2) == count_dichotomies(ps)
+        assert count(ps2) == count(ps)
 
-    def test_invariant_under_unimodular_affine_maps(self):
+    @BOTH_ORACLES
+    def test_invariant_under_unimodular_affine_maps(self, count):
         ps = generate_general_position(6, 2, 17)
-        expect = count_dichotomies(ps)
+        expect = count(ps)
         maps = [
             ((F(1), F(0)), (F(3), F(1))),   # shear
             ((F(0), F(1)), (F(-1), F(0))),  # rotation by 90 degrees
@@ -558,7 +573,7 @@ class TestCountDichotomies:
                 for x, y in ps.points
             )
             ps2 = PointSet(dim=2, points=moved)
-            assert count_dichotomies(ps2) == expect
+            assert count(ps2) == expect
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
@@ -566,9 +581,10 @@ class TestCountDichotomies:
         ps = generate_general_position(7, 2, seed)
         assert count_dichotomies(ps) == shatter_multi(7, HypothesisSpec(2))
 
-    def test_matches_formula_with_mixed_denominators(self):
+    @BOTH_ORACLES
+    def test_matches_formula_with_mixed_denominators(self, count):
         assert sorted({row[-1] for row in MIXED.lifted}) == [1, 2, 3, 4, 5, 12]
-        assert count_dichotomies(MIXED) == shatter_multi(7, HypothesisSpec(2))
+        assert count(MIXED) == shatter_multi(7, HypothesisSpec(2))
 
     def test_matches_formula_at_twelve_points(self):
         ps = generate_general_position(12, 3, 5)
@@ -623,7 +639,7 @@ class TestCountDichotomies:
     @given(small_general_position())
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force_on_small_sets(self, ps):
-        assert count_dichotomies(ps) == brute_force_count(ps)
+        assert count_dichotomies(ps) == len(brute_force_masks(ps))
 
     @pytest.mark.parametrize(
         "ps",
@@ -633,10 +649,81 @@ class TestCountDichotomies:
     def test_matches_brute_force_after_second_rounds(self, ps, monkeypatch):
         # on these sets some re-solved plane fails a point left out of the
         # tableau, whose row joins for another round: more rounds than copies
-        expect = brute_force_count(ps)
+        expect = len(brute_force_masks(ps))
         calls = lp_counters(monkeypatch)
         assert count_dichotomies(ps) == expect
         assert calls["solve"] - 1 > calls["copy"]  # one cold solve at the root
+
+
+class TestSeparableMasks:
+    @pytest.mark.parametrize(
+        "ps",
+        [
+            generate_general_position(1, 1, 0),
+            generate_general_position(2, 1, 0),
+            generate_general_position(9, 1, 2),
+            generate_general_position(3, 2, 0),
+            generate_general_position(7, 2, 0),
+            generate_general_position(8, 2, 13),
+            XOR,
+            MIXED,
+            generate_general_position(2, 3, 1),
+            generate_general_position(10, 3, 1),
+            generate_general_position(5, 4, 0),
+            generate_general_position(6, 4, 1),
+            generate_general_position(10, 4, 3),
+        ],
+        ids=[
+            "1-1-0", "2-1-0", "9-1-2", "3-2-0", "7-2-0", "8-2-13", "xor",
+            "mixed-denominators", "2-3-1", "10-3-1", "5-4-0", "6-4-1", "10-4-3",
+        ],
+    )
+    def test_matches_brute_force_on_small_cells(self, ps):
+        # the labeling sets themselves, not only their sizes; n <= h + 1 at
+        # 1-1-0, 2-1-0, 3-2-0, 2-3-1 and 5-4-0
+        assert separable_masks(ps) == brute_force_masks(ps)
+
+    @given(small_general_position())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_on_small_sets(self, ps):
+        assert separable_masks(ps) == brute_force_masks(ps)
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_counts_match_the_lp_oracle(self, n, h):
+        for seed in range(3):
+            ps = generate_general_position(n, h, seed)
+            assert mask_count(ps) == count_dichotomies(ps)
+
+    def test_one_elimination_per_short_prefix_and_one_projection_per_outside_row(
+        self, monkeypatch
+    ):
+        # machine-independent cost of the (18, 3) masks: every 3-subset S is
+        # P + {y} with y after P's last index, so a prefix needs one row
+        # after it. A row elimination runs once per prefix of at most two
+        # points with that room, C(16, 1) + C(17, 2) = 152, and each of the
+        # C(17, 2) = 136 two-point prefixes projects the 16 rows outside it
+        # with two dot products each, 2176 projections in all
+        import shatterbound.oracle as om
+
+        ps = generate_general_position(18, 3, 0)
+        calls = {"_side": 0, "_extend": 0}
+
+        def counted(name):
+            fn = getattr(om, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(om, name, wrapper)
+
+        counted("_side")
+        counted("_extend")
+        assert len(separable_masks(ps)) == shatter_multi(18, HypothesisSpec(3))
+        projections = 136 * 16
+        assert projections == 2176
+        assert calls == {"_side": 2 * projections, "_extend": 152}
 
 
 def sub_labeling(ps, pattern):
@@ -735,6 +822,17 @@ class TestVerifyFormula:
         b = verify_formula(4, 2, trials=2, seed=5)
         assert [t.seed for t in a.results] == [t.seed for t in b.results]
 
+    def test_counts_without_an_lp(self, monkeypatch):
+        import shatterbound.oracle as om
+
+        def no_lp(*args):
+            raise AssertionError("verify_formula built an LP tableau")
+
+        monkeypatch.setattr(om, "Tableau", no_lp)
+        rep = verify_formula(12, 3, trials=2, seed=4, workers=2)
+        assert rep.passed
+        assert [t.count for t in rep.results] == [464, 464]
+
     def test_size_guards(self):
         with pytest.raises(ValueError):
             verify_formula(25, 2, 1, 0)
@@ -742,6 +840,8 @@ class TestVerifyFormula:
             verify_formula(4, 5, 1, 0)
         with pytest.raises(ValueError):
             verify_formula(4, 2, 0, 0)
+        with pytest.raises(ValueError, match="workers must be positive"):
+            verify_formula(4, 2, 1, 0, workers=0)
 
 
 class TestGenerationFailure:
