@@ -35,11 +35,9 @@ negation over its support is pruned without a solve.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from math import gcd, lcm
 from operator import mul
 
@@ -70,6 +68,15 @@ MAX_RESAMPLES = 100
 MAX_ENUM_POINTS = 20
 
 _ZERO = Fraction(0)
+
+
+def _require_enumerable(n) -> None:
+    """Refuse an oracle run over more than MAX_ENUM_POINTS points."""
+    if n > MAX_ENUM_POINTS:
+        raise ValueError(
+            f"size guard: n={n} exceeds {MAX_ENUM_POINTS} points "
+            f"(2^n labelings is past desk scale)"
+        )
 
 
 class GeneralPositionError(RuntimeError):
@@ -385,53 +392,19 @@ def _extend_count(ps, k, plus, tab, plane, order, learned):
     return total
 
 
-def _count_under_prefix(ps, k, plus):
-    """Separable full labelings whose first k labels are the bits of
-    ``plus`` (0 if that prefix is not separable). The learned patterns
-    live for this one call."""
-    tab, proof = _separation(ps.lifted[:k], plus)
-    if proof is not None:
-        return 0
-    learned = [[] for _ in ps.lifted]
-    return _extend_count(ps, k, plus, tab, tab.point(), tuple(range(k)), learned)
-
-
-def count_dichotomies(ps: PointSet, workers: int = 1) -> BigCount:
+def count_dichotomies(ps: PointSet) -> BigCount:
     """Number of labelings of ps admitting a separating hyperplane.
 
     Exploits label negation (d separable iff -d separable, via
     (w, b) -> (-w, -b)): only labelings with labels[0] = +1 are enumerated
-    and the count is doubled. The total is a sum over disjoint label
-    prefixes, so the result is independent of enumeration order and of how
-    the prefixes are dealt out to workers. The pool starts at most one
-    process per CPU, so on one CPU the count runs serially. The process
-    pool is imported on the first call that fans out (workers > 1), not
-    with the package.
+    and the count is doubled. The count runs in one process, and the
+    learned patterns last for the whole count.
     """
-    n = len(ps)
-    if n > MAX_ENUM_POINTS:
-        raise ValueError(
-            f"enumeration guard: n={n} exceeds {MAX_ENUM_POINTS} points "
-            f"(2^n labelings is past desk scale)"
-        )
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-    # a fork pool starts all of its workers at once: at most one per CPU
-    workers = min(workers, os.cpu_count() or 1)
-
-    if workers == 1 or n < 4:
-        return 2 * _count_under_prefix(ps, 1, 1)
-
-    # split on the labels of the first few free points: enough chunks to
-    # keep every worker busy, each chunk a disjoint prefix subtree; every
-    # odd mask below 2^depth is a prefix with labels[0] = +1
-    depth = 1 + min(n - 1, (2 * workers - 1).bit_length())
-    prefixes = range(1, 1 << depth, 2)
-    from concurrent.futures import ProcessPoolExecutor  # only fan-outs pay its import
-    # and no more processes than jobs
-    with ProcessPoolExecutor(max_workers=min(workers, len(prefixes))) as ex:
-        partials = list(ex.map(partial(_count_under_prefix, ps, depth), prefixes))
-    return 2 * sum(partials)
+    _require_enumerable(len(ps))
+    # one point is always separable, so the root's solve is feasible
+    tab, _ = _separation(ps.lifted[:1], 1)
+    learned = [[] for _ in ps.lifted]
+    return 2 * _extend_count(ps, 1, 1, tab, tab.point(), (0,), learned)
 
 
 def separable_masks(ps: PointSet) -> frozenset[int]:
@@ -453,11 +426,7 @@ def separable_masks(ps: PointSet) -> frozenset[int]:
     by S, whose sign the negation makes irrelevant.
     """
     n, h = len(ps), ps.dim
-    if n > MAX_ENUM_POINTS:
-        raise ValueError(
-            f"enumeration guard: n={n} exceeds {MAX_ENUM_POINTS} points "
-            f"(2^n labelings is past desk scale)"
-        )
+    _require_enumerable(n)
     if n <= h + 1:
         return frozenset(range(1 << n))
     lifted = ps.lifted
@@ -522,8 +491,7 @@ def verify_formula(
     ``count_dichotomies``, is the reference the test suite holds the mask
     oracle to.
     """
-    if n > MAX_ENUM_POINTS:
-        raise ValueError(f"size guard: n={n} exceeds {MAX_ENUM_POINTS}")
+    _require_enumerable(n)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if workers < 1:

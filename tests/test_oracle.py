@@ -492,61 +492,6 @@ class TestCountDichotomies:
         with pytest.raises(ValueError, match="guard"):
             count(ps)
 
-    def test_workers_do_not_change_the_count(self):
-        ps = generate_general_position(8, 2, 13)
-        expect = count_dichotomies(ps)
-        assert count_dichotomies(ps, workers=2) == expect
-        assert count_dichotomies(ps, workers=4) == expect
-        # each pool job learns its own patterns from its own prefix
-        for cell in ((12, 3, 5), (16, 3, 0)):
-            ps = generate_general_position(*cell)
-            assert count_dichotomies(ps, workers=2) == count_dichotomies(ps)
-
-    @staticmethod
-    def serial_pool(monkeypatch):
-        """Stand in for the process pool: jobs run in this process, and the
-        returned list records each requested pool size."""
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-        return sizes
-
-    def test_pool_never_exceeds_the_job_count(self, monkeypatch):
-        sizes = self.serial_pool(monkeypatch)
-        # enough CPUs that only the job count limits the pool
-        monkeypatch.setattr("os.cpu_count", lambda: 64)
-        ps = generate_general_position(5, 2, 3)
-        # n = 5 splits into 2^4 = 16 prefix jobs however many workers ask
-        assert count_dichotomies(ps, workers=64) == count_dichotomies(ps)
-        assert count_dichotomies(ps, workers=2) == count_dichotomies(ps)
-        assert sizes == [16, 2]
-
-    @pytest.mark.parametrize("cpus", [None, 1, 2, 3])
-    def test_pool_never_exceeds_the_cpu_count(self, monkeypatch, cpus):
-        ps = generate_general_position(8, 1, 4)
-        expect = count_dichotomies(ps)
-        sizes = self.serial_pool(monkeypatch)
-        monkeypatch.setattr("os.cpu_count", lambda: cpus)
-        # n = 8 splits into up to 128 prefix jobs, so only the CPU count can cap
-        # the pool; an unknown CPU count means one CPU, which opens no pool
-        assert count_dichotomies(ps, workers=100_000) == expect
-        assert count_dichotomies(ps, workers=2) == expect
-        limit = cpus or 1
-        assert sizes == ([] if limit == 1 else [limit, 2])
-
     @BOTH_ORACLES
     def test_invariant_under_point_order(self, count):
         ps = generate_general_position(7, 2, 21)

@@ -51,9 +51,28 @@ def test_only_rational_lp_reads_the_tableau_layout(path):
     assert lines == [], f"{path.name} reads Tableau's layout at lines {lines}"
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_process_pool_imports(path):
+    # every count runs in one process, so no module imports a pool, even
+    # lazily inside a function
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    pools = {"concurrent", "multiprocessing"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] in pools for name in names):
+            lines.append(node.lineno)
+    assert lines == [], f"{path.name} imports a process pool at lines {lines}"
+
+
 def test_import_loads_no_process_pool():
-    # the oracle imports its pool on the first fan-out, so a process that
-    # only computes bounds pays for neither module
+    # no module imports a pool, so a process that imports the package and
+    # its CLI loads neither module
     script = (
         f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); "
         "import shatterbound, shatterbound.cli; "
