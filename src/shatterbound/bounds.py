@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .logarithmetic import LN2, LogNum
-from .shattering import HypothesisSpec, _require_eps, epsilon_curve, shatter_log
+from .shattering import HypothesisSpec, _ln_count, _require_eps, epsilon_curve
 
 __all__ = [
     "BracketTrace",
@@ -63,6 +63,11 @@ class BracketTrace:
     delta_log_at_n: float
 
 
+def _log_bound(n: int, eps: float, h: int, p: int) -> float:
+    """ln delta(n) on plain floats, eps already checked: what the solver probes."""
+    return LN2 + _ln_count(n, h, p) - n * eps * eps / 4.0
+
+
 def delta_bound(n: int, eps: float, spec: HypothesisSpec) -> LogNum:
     """ln delta(n) = ln 2 + ln N(n) - n*eps^2/4, always on the log path.
 
@@ -70,7 +75,7 @@ def delta_bound(n: int, eps: float, spec: HypothesisSpec) -> LogNum:
     but they are what the formula produces.
     """
     _require_eps(eps)
-    return LogNum(LN2 + shatter_log(n, spec).log_value - n * eps * eps / 4.0)
+    return LogNum(_log_bound(n, eps, spec.h, spec.p))
 
 
 def solve_min_n_trace(
@@ -95,12 +100,14 @@ def solve_min_n_trace(
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     target = math.log(delta)
+    _require_eps(eps)
+    h, p = spec.h, spec.p
 
     expansion: list[tuple[int, float]] = []
-    # a ceiling below 1 is the first rung, so delta_bound rejects it
+    # a ceiling below 1 is the first rung, so _log_bound rejects it
     lo, n = 0, min(1, ceiling)
     while True:
-        cur = delta_bound(n, eps, spec).log_value
+        cur = _log_bound(n, eps, h, p)
         expansion.append((n, cur))
         if cur <= target:
             break
@@ -113,7 +120,7 @@ def solve_min_n_trace(
     steps = 0
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if (val := delta_bound(mid, eps, spec).log_value) <= target:
+        if (val := _log_bound(mid, eps, h, p)) <= target:
             hi, hi_log = mid, val
         else:
             lo = mid
@@ -124,7 +131,7 @@ def solve_min_n_trace(
     m = n_star
     while m < ceiling and len(tail) < 12:
         m = min(ceiling, max(m + 1, int(m * 1.5)))
-        val = delta_bound(m, eps, spec).log_value
+        val = _log_bound(m, eps, h, p)
         tail.append((m, val))
         if val > target:
             raise RuntimeError(
@@ -161,7 +168,7 @@ def solve_max_eps(n: int, delta: float, spec: HypothesisSpec) -> float:
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    log_2n = LN2 + shatter_log(n, spec).log_value
+    log_2n = LN2 + _ln_count(n, spec.h, spec.p)
     return math.sqrt((4.0 / n) * (log_2n - math.log(delta)))
 
 

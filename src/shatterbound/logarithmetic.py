@@ -6,6 +6,8 @@ before the sample sizes of interest, so every quantity travels either as a
 python int (exact, BigCount) or as its natural logarithm (LogNum).
 _binomial_row and _log_binomial_row build the same row of C(m, i) on each
 path, so the two stay checkable against each other term by term.
+_log_binomial_row and _log_add are also the reference that the log count's
+fused float kernel, shattering._ln_count, is tested against bit for bit.
 """
 
 from __future__ import annotations

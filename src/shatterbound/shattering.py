@@ -21,8 +21,6 @@ from .logarithmetic import (
     BigCount,
     LogNum,
     _binomial_row,
-    _log_add,
-    _log_binomial_row,
     log_pow,
     log_sum,
 )
@@ -77,27 +75,32 @@ def shatter_multi(n: int, spec: HypothesisSpec) -> BigCount:
     return 2 * sum(c**spec.p for c in _binomial_row(n - 1, min(spec.h, n - 1)))
 
 
-def shatter_log(n: int, spec: HypothesisSpec) -> LogNum:
-    """Log-domain twin of shatter_multi, for n where the count has hundreds of digits.
-
-    Folds the terms p * ln C(n-1, i) on plain floats and wraps only the
-    result. ValueError when the log count itself leaves the float range,
-    which only a huge p can bring about.
-    """
+def _ln_count(n: int, h: int, p: int) -> float:
+    """ln N(n) on plain floats, the one evaluation under shatter_log, delta_bound,
+    solve_max_eps and the solver: _log_binomial_row's step and _log_add's fold
+    in one loop, so every float is the one those two L0 helpers give. ValueError
+    when the log leaves the float range, which only a huge p can bring about."""
     _require_positive_n(n)
-    p = spec.p
-    acc = -math.inf
+    m = n - 1
+    ln_c = acc = 0.0  # the i = 0 term C(m, 0)**p = 1
     try:
-        for ln_c in _log_binomial_row(n - 1, min(spec.h, n - 1)):
+        for i in range(1, min(h, m) + 1):
+            ln_c = ln_c + math.log(m - i + 1) - math.log(i)
             # a zero log is the term 1 for every p, even one past the float range
-            acc = _log_add(acc, p * ln_c if ln_c else 0.0)
+            t = p * ln_c if ln_c else 0.0
+            hi, lo = (acc, t) if acc >= t else (t, acc)
+            acc = hi + math.log1p(math.exp(lo - hi))
     except OverflowError:  # an int p past the float range times ln_c > 0
         acc = math.inf
     if not math.isfinite(acc):
-        raise ValueError(
-            f"log count is not a finite float at n={n}, h={spec.h}, p={p}"
-        )
-    return LogNum(LN2 + acc)
+        raise ValueError(f"log count is not a finite float at n={n}, h={h}, p={p}")
+    return LN2 + acc
+
+
+def shatter_log(n: int, spec: HypothesisSpec) -> LogNum:
+    """Log-domain twin of shatter_multi, for n where the count has hundreds of
+    digits; ValueError when that log leaves the float range (a huge p)."""
+    return LogNum(_ln_count(n, spec.h, spec.p))
 
 
 def complement_count(n: int, h: int) -> BigCount:

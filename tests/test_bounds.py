@@ -19,23 +19,24 @@ from shatterbound.bounds import (
     solve_min_n,
     solve_min_n_trace,
 )
+from shatterbound.logarithmetic import LogNum
 from shatterbound.shattering import HypothesisSpec, epsilon_curve
 
 LN_001 = math.log(0.01)
 
 
 def bound_evaluations(monkeypatch):
-    """The n of every delta_bound call the solver makes, live."""
+    """The n of every _log_bound call the solver makes, live."""
     import shatterbound.bounds as bounds
 
     seen = []
-    real = bounds.delta_bound
+    real = bounds._log_bound
 
-    def counted(n, eps, spec):
+    def counted(n, eps, h, p):
         seen.append(n)
-        return real(n, eps, spec)
+        return real(n, eps, h, p)
 
-    monkeypatch.setattr(bounds, "delta_bound", counted)
+    monkeypatch.setattr(bounds, "_log_bound", counted)
     return seen
 
 
@@ -112,13 +113,12 @@ class TestSolveMinN:
             """
             import sys
             import shatterbound.bounds as bounds
-            from shatterbound.logarithmetic import LogNum
             from shatterbound.shattering import HypothesisSpec
 
             assert sys.flags.optimize, "run me with python -O"
-            real = bounds.delta_bound
-            bounds.delta_bound = lambda n, eps, spec: (
-                LogNum(0.0) if n > 20000 else real(n, eps, spec)
+            real = bounds._log_bound
+            bounds._log_bound = lambda n, eps, h, p: (
+                0.0 if n > 20000 else real(n, eps, h, p)
             )
             try:
                 bounds.solve_min_n(0.01, 0.05, HypothesisSpec(0, 1))
@@ -208,6 +208,36 @@ class TestSolveMinN:
         spec = HypothesisSpec(3, 16)
         n_star, trace = solve_min_n_trace(0.01, 0.05, spec, ceiling)
         assert trace.delta_log_at_n == delta_bound(n_star, 0.05, spec).log_value
+
+    def test_trace_values_equal_delta_bound(self):
+        # every value the solver records is the public bound at that n, on
+        # each calculator family at a small and a large eps
+        for h, p in itertools.product((1, 2, 3, 4), (1, 4, 16)):
+            spec = HypothesisSpec(h, p)
+            for delta, eps in ((0.01, 0.05), (0.1, 0.2)):
+                n_star, trace = solve_min_n_trace(delta, eps, spec)
+                for n, v in trace.expansion + trace.tail_probes:
+                    assert v == delta_bound(n, eps, spec).log_value
+                assert trace.delta_log_at_n == delta_bound(n_star, eps, spec).log_value
+
+    def test_headline_solve_builds_no_lognum_and_checks_eps_once(self, monkeypatch):
+        import shatterbound.bounds as bounds
+
+        built, checks = [], []
+        real_post, real_eps = LogNum.__post_init__, bounds._require_eps
+
+        def counted_post(num):
+            built.append(num.log_value)
+            real_post(num)
+
+        def counted_eps(eps):
+            checks.append(eps)
+            real_eps(eps)
+
+        monkeypatch.setattr(LogNum, "__post_init__", counted_post)
+        monkeypatch.setattr(bounds, "_require_eps", counted_eps)
+        solve_min_n_trace(0.01, 0.05, HypothesisSpec(3, 16))
+        assert (len(built), len(checks)) == (0, 1)
 
     def test_trace_expansion_is_doubling(self):
         _, trace = solve_min_n_trace(0.01, 0.05, HypothesisSpec(2, 4))

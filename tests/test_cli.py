@@ -146,17 +146,15 @@ class TestSolveN:
         # the record reports n*'s value from the solver's trace, so the
         # command adds no evaluation of its own
         import shatterbound.bounds as bounds
-        import shatterbound.cli as cli
 
         seen = []
-        real = bounds.delta_bound
+        real = bounds._log_bound
 
-        def counted(n, eps, spec):
+        def counted(n, eps, h, p):
             seen.append(n)
-            return real(n, eps, spec)
+            return real(n, eps, h, p)
 
-        monkeypatch.setattr(bounds, "delta_bound", counted)
-        monkeypatch.setattr(cli, "delta_bound", counted)
+        monkeypatch.setattr(bounds, "_log_bound", counted)
         extra = [] if ceiling is None else ["--ceiling", ceiling]
         code, _, _ = run_cli(
             capsys, "solve-n", "--delta", "0.01", "--eps", "0.05", "--h", "3",

@@ -8,12 +8,14 @@ from shatterbound.bounds import delta_bound
 from shatterbound.logarithmetic import (
     LN2,
     LogNum,
+    _log_add,
     _log_binomial_row,
     log_pow,
     log_sum,
 )
 from shatterbound.shattering import (
     HypothesisSpec,
+    _ln_count,
     asymptotic_condition,
     binom_lower_bound,
     binom_upper_bound,
@@ -155,6 +157,42 @@ def log_uniform_n(draw):
     """n in 1..2^63-1, uniform over bit lengths so every scale gets examples."""
     bits = draw(st.integers(0, 62))
     return draw(st.integers(2**bits, 2 ** (bits + 1) - 1))
+
+
+def _reference_ln_count(n, h, p):
+    """ln N(n) as _log_binomial_row and _log_add give it, term by term."""
+    acc = -math.inf
+    try:
+        for c in _log_binomial_row(n - 1, min(h, n - 1)):
+            acc = _log_add(acc, p * c if c else 0.0)
+    except OverflowError:
+        acc = math.inf
+    if not math.isfinite(acc):
+        raise ValueError(f"log count is not a finite float at n={n}, h={h}, p={p}")
+    return LN2 + acc
+
+
+def _value_or_error(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestLnCountKernel:
+    @given(
+        log_uniform_n(),
+        st.integers(0, 60),
+        st.one_of(st.integers(1, 16), st.sampled_from([10**300, 10**400])),
+    )
+    @example(2**63 - 1, 60, 10**300)
+    @example(2**63 - 1, 60, 16)
+    @example(2, 60, 10**400)
+    @example(1, 0, 10**400)
+    @settings(max_examples=500)
+    def test_bit_identical_to_the_l0_helpers(self, n, h, p):
+        got = _value_or_error(_ln_count, n, h, p)
+        assert got == _value_or_error(_reference_ln_count, n, h, p)
 
 
 class TestLogPathToTheCeiling:
