@@ -11,12 +11,7 @@ from .bounds import (
     solve_max_eps,
     solve_min_n,
 )
-from .logarithmetic import (
-    BigCount,
-    LogNum,
-    log_pow,
-    log_sum,
-)
+from .logarithmetic import LogNum
 from .oracle import (
     PointSet,
     SeparabilityCertificate,
@@ -41,7 +36,6 @@ from .shattering import (
 )
 
 __all__ = [
-    "BigCount",
     "CurveRow",
     "HypothesisSpec",
     "LogNum",
@@ -59,8 +53,6 @@ __all__ = [
     "gamma_const",
     "generate_general_position",
     "is_separable",
-    "log_pow",
-    "log_sum",
     "psi",
     "separable_masks",
     "shatter_log",

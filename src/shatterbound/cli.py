@@ -107,6 +107,15 @@ def _require(cond: bool, message: str) -> None:
 def cmd_coef(args) -> OutputRecord:
     spec = HypothesisSpec(args.h, args.p)
     log = shatter_log(args.n, spec).log_value
+    # str() rejects an int of more than `limit` digits, and N has more once
+    # log10 N >= limit; refuse before building N, or a huge p runs out of
+    # memory first. The 1e-6 band holds the float log's error; inside it,
+    # and with no limit (0), the exact count decides.
+    limit = sys.get_int_max_str_digits()
+    if limit and log / _LN10 > limit * (1 + 1e-6):
+        raise UsageError(f"the count has about {log / _LN10:.3g} digits, past the "
+                         f"limit ({limit} digits) for integer string conversion; "
+                         "PYTHONINTMAXSTRDIGITS raises it")
     return OutputRecord(
         command="coef",
         inputs={"n": args.n, "h": spec.h, "p": spec.p},

@@ -1,9 +1,9 @@
 """The arithmetic under the two formula paths: binomial rows, exact and in
-log space, and the log-domain number type with its sum and power.
+log space, and the log-domain result type.
 
 Counts of realizable labelings blow past any fixed-precision float long
 before the sample sizes of interest, so every quantity travels either as a
-python int (exact, BigCount) or as its natural logarithm (LogNum).
+python int (exact) or as its natural logarithm (LogNum).
 _binomial_row and _log_binomial_row build the same row of C(m, i) on each
 path, so the two stay checkable against each other term by term.
 _log_binomial_row and _log_add are also the reference that the log count's
@@ -17,19 +17,12 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 __all__ = [
-    "BigCount",
     "LogNum",
     "LN2",
-    "log_sum",
-    "log_pow",
 ]
 
 LN2 = math.log(2.0)
 _NEG_INF = float("-inf")
-
-# Arbitrary-precision nonnegative integer; python ints are already exact
-# under +, * and ** so no wrapper type is needed.
-BigCount = int
 
 
 @dataclass(frozen=True, order=True)
@@ -47,7 +40,7 @@ class LogNum:
             raise ValueError("LogNum cannot carry NaN")
 
 
-def _binomial_row(m: int, k: int) -> Iterator[BigCount]:
+def _binomial_row(m: int, k: int) -> Iterator[int]:
     """C(m, i) for i = 0..k, needs 0 <= k <= m; the exact twin of
     _log_binomial_row, yielded so that a sum over a long row holds one
     term at a time.
@@ -89,16 +82,4 @@ def _log_add(a: float, b: float) -> float:
         return a
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + math.log1p(math.exp(lo - hi))
-
-
-def log_sum(a: LogNum, b: LogNum) -> LogNum:
-    """ln(e^a + e^b); the LogNum face of ``_log_add``."""
-    return LogNum(_log_add(a.log_value, b.log_value))
-
-
-def log_pow(a: LogNum, p: int) -> LogNum:
-    """p-th power in log space, i.e. p * a; 0^p stays 0."""
-    if p < 1:
-        raise ValueError(f"exponent must be a positive integer, got {p}")
-    return LogNum(p * a.log_value)
 

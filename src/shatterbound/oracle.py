@@ -41,7 +41,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .logarithmetic import BigCount
 from .rational_lp import Tableau
 from .shattering import HypothesisSpec, shatter_multi
 
@@ -392,7 +391,7 @@ def _extend_count(ps, k, plus, tab, plane, order, learned):
     return total
 
 
-def count_dichotomies(ps: PointSet) -> BigCount:
+def count_dichotomies(ps: PointSet) -> int:
     """Number of labelings of ps admitting a separating hyperplane.
 
     Exploits label negation (d separable iff -d separable, via
@@ -461,7 +460,7 @@ def separable_masks(ps: PointSet) -> frozenset[int]:
 class VerifyTrial:
     seed: int
     resamples: int
-    count: BigCount
+    count: int
 
 
 @dataclass(frozen=True)
@@ -473,7 +472,7 @@ class VerifyReport:
     trials: int
     seed: int
     prng: str
-    formula_count: BigCount
+    formula_count: int
     results: tuple[VerifyTrial, ...]
     passed: bool
 

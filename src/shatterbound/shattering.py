@@ -16,14 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .logarithmetic import (
-    LN2,
-    BigCount,
-    LogNum,
-    _binomial_row,
-    log_pow,
-    log_sum,
-)
+from .logarithmetic import LN2, LogNum, _binomial_row, _log_add
 
 __all__ = [
     "HypothesisSpec",
@@ -60,12 +53,16 @@ def _require_positive_n(n: int) -> None:
         raise ValueError(f"sample size n must be positive, got {n}")
 
 
+def _not_finite(n: int, h: int, p: int) -> ValueError:
+    return ValueError(f"log count is not a finite float at n={n}, h={h}, p={p}")
+
+
 def is_saturated(n: int, h: int) -> bool:
     """True when every one of the 2^n labelings is realizable (h >= n-1)."""
     return h >= n - 1
 
 
-def shatter_multi(n: int, spec: HypothesisSpec) -> BigCount:
+def shatter_multi(n: int, spec: HypothesisSpec) -> int:
     """2 * sum_{i=0}^{h} C(n-1, i)**p, exactly.
 
     Equals 2^n at p = 1 whenever h >= n-1 (the whole binomial row is included).
@@ -93,7 +90,7 @@ def _ln_count(n: int, h: int, p: int) -> float:
     except OverflowError:  # an int p past the float range times ln_c > 0
         acc = math.inf
     if not math.isfinite(acc):
-        raise ValueError(f"log count is not a finite float at n={n}, h={h}, p={p}")
+        raise _not_finite(n, h, p)
     return LN2 + acc
 
 
@@ -103,7 +100,7 @@ def shatter_log(n: int, spec: HypothesisSpec) -> LogNum:
     return LogNum(_ln_count(n, spec.h, spec.p))
 
 
-def complement_count(n: int, h: int) -> BigCount:
+def complement_count(n: int, h: int) -> int:
     """2 * sum_{i=h+1}^{n} C(n-1, i): the labelings a dimension-h bias excludes.
 
     Satisfies shatter_multi(n, HypothesisSpec(h)) + complement_count(n, h) == 2**n
@@ -137,12 +134,16 @@ def shatter_upper_closed(n: int, spec: HypothesisSpec) -> LogNum:
 
     Dominates shatter_log for every n >= 2: each binomial is bounded by
     (e(n-1)/i)^i <= (e(n-1))^i and the resulting geometric series is summed
-    in closed form.
+    in closed form. ValueError when the log leaves the float range (a huge p).
     """
-    bracket = log_sum(
-        LogNum(_hyperplane_series_core_log(n, spec.h)), LogNum(LN2)
-    )
-    return log_pow(bracket, spec.p)
+    bracket = _log_add(_hyperplane_series_core_log(n, spec.h), LN2)
+    try:
+        ln = spec.p * bracket
+    except OverflowError:  # an int p past the float range
+        ln = math.inf
+    if not math.isfinite(ln):
+        raise _not_finite(n, spec.h, spec.p)
+    return LogNum(ln)
 
 
 def binom_lower_bound(m: int, k: int) -> LogNum:

@@ -434,6 +434,50 @@ class TestCountPastTheDigitLimit:
         assert len(str(count)) == 4297
         assert str(count) in out
 
+    # At n = 3, h = 1 the count is 2 + 2^(p+1): 4300 digits at p = 14283,
+    # 4301 at p = 14284; 100 000 digits at p = 332191, 100 001 at p = 332192.
+    @pytest.fixture
+    def set_limit(self):
+        old = sys.get_int_max_str_digits()
+        yield sys.set_int_max_str_digits
+        sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize("p", [10**9, 10**20], ids=["1e9", "1e20"])
+    def test_huge_p_is_refused_before_the_count_is_built(self, capsys, monkeypatch,
+                                                         set_limit, p):
+        # the count would take gigabytes; its log decides
+        def refuse(*args):
+            raise AssertionError("shatter_multi called")
+
+        set_limit(4300)
+        monkeypatch.setattr("shatterbound.cli.shatter_multi", refuse)
+        code, out, err = run_cli(capsys, "coef", "--n", "3", "--h", "1", "--p", str(p))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "(4300 digits)" in err
+
+    @pytest.mark.parametrize("limit,p,digits", [
+        (4300, 14283, 4300), (100_000, 332191, 100_000), (0, 14284, 4301),
+    ])
+    def test_largest_count_under_the_limit_prints(self, capsys, set_limit,
+                                                  limit, p, digits):
+        set_limit(limit)
+        code, out, _ = run_cli(capsys, "coef", "--n", "3", "--h", "1", "--p", str(p))
+        assert code == 0
+        count = 2 + 2 ** (p + 1)
+        assert len(str(count)) == digits
+        assert f"count: {count}\n" in out
+
+    @pytest.mark.parametrize("limit,p", [(4300, 14284), (100_000, 332192)])
+    def test_next_count_exits_1(self, capsys, set_limit, limit, p):
+        # at 100 000 digits the log sits inside the float-error band above
+        # the limit, so the exact count is built and str() refuses it
+        set_limit(limit)
+        code, out, err = run_cli(capsys, "coef", "--n", "3", "--h", "1", "--p", str(p))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"({limit} digits)" in err
+
 
 class TestNPastTheFloatRange:
     # n * eps^2 / 4 and the curve grid's n_end / n_start turn n into a float,

@@ -5,14 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shatterbound.bounds import delta_bound
-from shatterbound.logarithmetic import (
-    LN2,
-    LogNum,
-    _log_add,
-    _log_binomial_row,
-    log_pow,
-    log_sum,
-)
+from shatterbound.logarithmetic import LN2, _log_add, _log_binomial_row
 from shatterbound.shattering import (
     HypothesisSpec,
     _ln_count,
@@ -112,31 +105,7 @@ class TestShatterLog:
         assert abs(got - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
-def _lognum_fold(n, spec):
-    """ln N(n) composed from LogNum steps, the fold shatter_log runs on floats."""
-    acc = LogNum(-math.inf)
-    for ln_c in _log_binomial_row(n - 1, min(spec.h, n - 1)):
-        acc = log_sum(acc, log_pow(LogNum(ln_c), spec.p))
-    return LN2 + acc.log_value
-
-
-FOLD_GRID = [
-    (n, h, p)
-    for n in (1, 2, 3, 10, 10**6, 2**62, 2**63 - 1)
-    for h in range(5)
-    for p in (1, 4, 16)
-]
-
-
 class TestFloatFold:
-    @pytest.mark.parametrize("n,h,p", FOLD_GRID)
-    def test_bit_identical_to_lognum_composition(self, n, h, p):
-        spec = HypothesisSpec(h, p)
-        old = _lognum_fold(n, spec)
-        assert shatter_log(n, spec).log_value == old
-        for eps in (0.001, 0.05, 0.5):
-            assert delta_bound(n, eps, spec).log_value == LN2 + old - n * eps * eps / 4.0
-
     @pytest.mark.parametrize("p", [10**308, 10**400], ids=["1e308", "1e400"])
     def test_log_count_past_the_float_range_raises(self, p):
         # 10**308 fits a float and the terms overflow to inf, where inf - inf
@@ -194,6 +163,19 @@ class TestLnCountKernel:
         got = _value_or_error(_ln_count, n, h, p)
         assert got == _value_or_error(_reference_ln_count, n, h, p)
 
+    @pytest.mark.parametrize("n,h,p", [
+        (n, h, p)
+        for n in (1, 2, 3, 10, 10**6, 2**62, 2**63 - 1)
+        for h in range(5)
+        for p in (1, 4, 16)
+    ])
+    def test_grid_bit_identical_under_shatter_log_and_delta_bound(self, n, h, p):
+        spec = HypothesisSpec(h, p)
+        ref = _reference_ln_count(n, h, p)
+        assert shatter_log(n, spec).log_value == ref
+        for eps in (0.001, 0.05, 0.5):
+            assert delta_bound(n, eps, spec).log_value == LN2 + ref - n * eps * eps / 4.0
+
 
 class TestLogPathToTheCeiling:
     @given(
@@ -249,6 +231,13 @@ class TestClosedFormUpperBound:
             shatter_upper_closed(1, HypothesisSpec(2, 1))
         with pytest.raises(ValueError):
             shatter_upper_closed(5, HypothesisSpec(0, 1))
+
+    @pytest.mark.parametrize("p", [10**308, 10**400], ids=["1e308", "1e400"])
+    def test_log_past_the_float_range_raises(self, p):
+        # 10**308 fits a float and the product overflows to inf; 10**400
+        # does not convert to a float at all
+        with pytest.raises(ValueError, match=rf"n=100, h=3, p={p}$"):
+            shatter_upper_closed(100, HypothesisSpec(3, p))
 
 
 class TestBinomialSandwich:
