@@ -7,9 +7,12 @@ separates, in two exact ways that share only the point set. A labeling is
 one int whose bit i is set when point i is labelled +1. Each point x is also
 kept as its integer lift k * (x, 1), the same ray as (x, 1), with k the lcm
 of x's denominators. One walk over index subsets extends a fraction-free
-elimination of the lifted rows along each prefix of h - 1 points and hands
-the prefix's 2-D complement to a visitor. The general-position test decides
-every (h+1)-subset through the prefix from the later rows' projections.
+elimination of the lifted rows along each prefix of h - 2 points and hands
+the prefix's 3-D complement to a visitor, which projects the other rows
+onto it once. The general-position test decides every (h+1)-subset through
+the prefix from cross products of the later rows' projections. In one
+dimension there is no such prefix, and both oracles work on the points
+directly.
 
 The mask oracle, ``separable_masks``, runs no LP, and ``verify_formula``
 counts with it. In general position a separating plane can be moved onto h
@@ -111,30 +114,33 @@ def _side(normal, y) -> int:
 
 
 def _prefix_forms(lifted, dim, room, visit) -> bool:
-    """Walk every (dim - 1)-subset P of the lifted rows that has ``room``
+    """Walk every (dim - 2)-subset P of the lifted rows that has ``room``
     rows after its last index, depth first over index subsets: a child adds
     one later row to its parent's fraction-free elimination, so subsets
     sharing a prefix share its work. At P the form gives integer vectors
-    u, v spanning the complement of P's rows (u . p = v . p = 0 for every
-    row p of P), and the walk calls visit(P, u, v), P a tuple of indices.
-    Returns False as soon as some P's rows are dependent or a visit returns
-    False, else True. With room <= 0 there are fewer than dim rows: the walk
-    takes them in order and stops once it has eliminated all of them."""
+    u, v, w spanning the complement of P's rows (u . p = v . p = w . p = 0
+    for every row p of P), and the walk calls visit(P, u, v, w), P a tuple
+    of indices. Returns False as soon as some P's rows are dependent or a
+    visit returns False, else True. With room <= 0 there are fewer than
+    dim - 1 rows: the walk takes them in order and stops once it has
+    eliminated all of them. Needs dim >= 2."""
     n = len(lifted)
 
     def walk(rows, cols, d, prefix):
         depth = len(prefix)
-        if depth == dim - 1:
-            f, g = (j for j in range(dim + 1) if j not in cols)
-            u, v = [0] * (dim + 1), [0] * (dim + 1)
-            u[f] = v[g] = d
-            for row, c in zip(rows, cols):
-                u[c], v[c] = -row[f], -row[g]
-            return visit(prefix, u, v)
+        if depth == dim - 2:
+            basis = []
+            for f in (j for j in range(dim + 1) if j not in cols):
+                b = [0] * (dim + 1)
+                b[f] = d
+                for row, c in zip(rows, cols):
+                    b[c] = -row[f]
+                basis.append(b)
+            return visit(prefix, *basis)
         if depth == n:
             return True
         start = prefix[-1] + 1 if prefix else 0
-        for j in range(start, n - room - dim + 2 + depth):  # room for the rest of P
+        for j in range(start, n - room - dim + 3 + depth):  # room for the rest of P
             child = _extend(rows, cols, d, lifted[j])
             if child is None or not walk(*child, prefix + (j,)):
                 return False
@@ -145,22 +151,35 @@ def _prefix_forms(lifted, dim, room, visit) -> bool:
 
 def _in_general_position(lifted, dim) -> bool:
     """Every min(dim + 1, n) lifted rows are independent (see PointSet)."""
+    if dim == 1:  # each rational has one lift (numerator, denominator)
+        return len(set(lifted)) == len(lifted)
 
-    def later_rows_apart(prefix, u, v):
-        # prefix + {y, z} is independent iff (u.y, v.y) and (u.z, v.z) are
-        # nonzero and not parallel
-        seen = set()
-        for y in lifted[prefix[-1] + 1 if prefix else 0:]:
-            a, b = _side(u, y), _side(v, y)
-            # the direction, signed so that its first nonzero entry is positive
-            k = gcd(a, b) if (a, b) > (0, 0) else -gcd(a, b)
-            if not k or (a // k, b // k) in seen:
+    def later_rows_apart(prefix, u, v, w):
+        # prefix + {x, y, z} is independent iff the projections X, Y, Z are,
+        # that is iff X x Y and X x Z are nonzero and not parallel: for each
+        # later row, its cross products with the rows after it must be
+        # nonzero and point in distinct directions
+        proj = [
+            (_side(u, y), _side(v, y), _side(w, y))
+            for y in lifted[prefix[-1] + 1 if prefix else 0:]
+        ]
+        if len(proj) == 1:  # n == dim - 1: no second row to cross with
+            return any(proj[0])
+        for j, (a, b, c) in enumerate(proj):
+            seen = set()
+            for x, y, z in proj[j + 1:]:
+                p, q, r = b * z - c * y, c * x - a * z, a * y - b * x
+                # the direction, signed so that its first nonzero entry is positive
+                k = gcd(p, q, r) if (p, q, r) > (0, 0, 0) else -gcd(p, q, r)
+                if not k:
+                    return False
+                seen.add((p // k, q // k, r // k))
+            if len(seen) < len(proj) - j - 1:
                 return False
-            seen.add((a // k, b // k))
         return True
 
-    # n <= dim: the one subset is all n rows, so fewer than 2 rows follow P
-    return _prefix_forms(lifted, dim, min(2, len(lifted) - dim + 1), later_rows_apart)
+    # n <= dim: the one subset is all n rows, so fewer than 3 rows follow P
+    return _prefix_forms(lifted, dim, min(3, len(lifted) - dim + 2), later_rows_apart)
 
 
 @dataclass(frozen=True)
@@ -171,12 +190,14 @@ class PointSet:
     independent, verified exactly at construction by one depth-first walk
     over index subsets (so the points are distinct). A child adds one later
     row to its parent's fraction-free elimination, so subsets sharing a
-    prefix share its work; at depth dim - 1 the elimination gives two
-    integer vectors spanning the complement of the prefix, and each later
-    row is projected onto them once, two dot products per row. ``seed`` and
-    ``resamples`` record generation provenance when applicable. ``lifted``
-    holds each point's integer lift, read by the position test and by both
-    oracles.
+    prefix share its work; at depth dim - 2 the elimination gives three
+    integer vectors spanning the complement of the prefix, each later row is
+    projected onto them once, three dot products per row, and the subsets
+    through the prefix are decided from integer cross products of those
+    projections. In one dimension general position means distinct points,
+    that is distinct lifts. ``seed`` and ``resamples`` record generation
+    provenance when applicable. ``lifted`` holds each point's integer lift,
+    read by the position test and by both oracles.
     """
 
     dim: int
@@ -419,40 +440,53 @@ def separable_masks(ps: PointSet) -> frozenset[int]:
     are the union, over every h-subset S, of the sign vector of
     det[lifted(S); lifted(z)] over the points z outside S and of its
     negation, each with all 2^h labelings of S. The walk shared with the
-    position test reaches S as P + {y}, y after P's last index; with
-    (a_z, b_z) = (u . z, v . z) the projection of z onto P's complement,
-    a_y * b_z - a_z * b_y is that determinant times a nonzero factor fixed
-    by S, whose sign the negation makes irrelevant.
+    position test reaches S as P + {y, z}, y < z after P's last index; with
+    W_x = (u . x, v . x, w . x) the projection of x onto P's complement,
+    (W_y x W_z) . W_x is that determinant times a nonzero factor fixed by
+    P, whose sign the negation makes irrelevant. In one dimension the
+    planes are thresholds, and the labelings are the 2n that label the
+    points below some cut -1 and the rest +1, or the other way round.
     """
     n, h = len(ps), ps.dim
     _require_enumerable(n)
     if n <= h + 1:
         return frozenset(range(1 << n))
-    lifted = ps.lifted
     full = (1 << n) - 1
+    if h == 1:  # the planes are thresholds: the points below a cut, or above
+        below = [0]
+        for i in sorted(range(n), key=ps.points.__getitem__):
+            below.append(below[-1] | 1 << i)
+        return frozenset(below + [full ^ m for m in below])
+    lifted = ps.lifted
     masks = set()
 
-    def planes_through(prefix, u, v):
+    def planes_through(prefix, u, v, w):
         held = sum(1 << i for i in prefix)
-        tilts = [0]  # the 2^(h-1) labelings of P
+        tilts = [0]  # the 2^(h-2) labelings of P
         for i in prefix:
             tilts += [t | 1 << i for t in tilts]
         # every point outside P, as (its bit, its projection)
         proj = [
-            (1 << i, _side(u, z), _side(v, z))
+            (1 << i, _side(u, z), _side(v, z), _side(w, z))
             for i, z in enumerate(lifted)
             if not held >> i & 1
         ]
-        after = held.bit_length()  # S = P + {y} for each y past P's last index
-        for ybit, ay, by in proj:
-            if ybit >> after:
-                plus = sum(bit for bit, a, b in proj if ay * b > a * by)
-                minus = full ^ plus ^ held ^ ybit
+        after = held.bit_length()  # S = P + {y, z} for y < z past P's last index
+        later = [x for x in proj if x[0] >> after]
+        for j, (ybit, a, b, c) in enumerate(later):
+            for zbit, d, e, f in later[j + 1:]:
+                p, q, r = b * f - c * e, c * d - a * f, a * e - b * d
+                plus = sum(bit for bit, x, y, z in proj if p * x + q * y + r * z > 0)
+                minus = full ^ plus ^ held ^ ybit ^ zbit
+                yz = ybit | zbit
                 for t in tilts:
-                    masks.update((plus | t, minus | t, plus | t | ybit, minus | t | ybit))
+                    pt, mt = plus | t, minus | t
+                    masks.update(
+                        (pt, mt, pt | ybit, mt | ybit, pt | zbit, mt | zbit, pt | yz, mt | yz)
+                    )
         return True
 
-    _prefix_forms(lifted, h, 1, planes_through)
+    _prefix_forms(lifted, h, 2, planes_through)
     return frozenset(masks)
 
 

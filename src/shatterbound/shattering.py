@@ -53,8 +53,25 @@ def _require_positive_n(n: int) -> None:
         raise ValueError(f"sample size n must be positive, got {n}")
 
 
-def _not_finite(n: int, h: int, p: int) -> ValueError:
-    return ValueError(f"log count is not a finite float at n={n}, h={h}, p={p}")
+def _not_finite(n: int | None, h: int, p: int, what: str = "log count") -> ValueError:
+    at = f"h={h}, p={p}" if n is None else f"n={n}, h={h}, p={p}"
+    return ValueError(f"{what} is not a finite float at {at}")
+
+
+def _finite(x: float, n: int | None, h: int, p: int, what: str) -> float:
+    """x, or _not_finite's ValueError when x is inf or NaN."""
+    if not math.isfinite(x):
+        raise _not_finite(n, h, p, what)
+    return x
+
+
+def _float(k: int) -> float:
+    """float(k), the conversion that mixed int and float arithmetic makes,
+    or inf where that conversion raises: for an int past the float range."""
+    try:
+        return float(k)
+    except OverflowError:
+        return math.inf
 
 
 def is_saturated(n: int, h: int) -> bool:
@@ -164,19 +181,30 @@ def _require_sandwich_args(m: int, k: int) -> None:
 
 
 def gamma_const(spec: HypothesisSpec) -> float:
-    """The constant p*ln(2) + h*p collecting the n-free terms of the bound."""
-    return spec.p * LN2 + spec.h * spec.p
+    """The constant p*ln(2) + h*p collecting the n-free terms of the bound;
+    ValueError when it leaves the float range (a huge p)."""
+    h, p = spec.h, spec.p
+    return _finite(_float(p) * LN2 + _float(h * p), None, h, p, "gamma")
 
 
 def epsilon_curve(n: int, spec: HypothesisSpec) -> float:
     """Divergence eps(n) = 2*sqrt(h*p*ln(n) + gamma) / sqrt(n).
 
     The eps at which the exponential and polynomial parts of the bound
-    balance; grows with h and p, eventually decays in n.
+    balance; grows with h and p, eventually decays in n. ValueError when it
+    leaves the float range (a huge p).
     """
     if n < 2:
         raise ValueError(f"divergence curve needs n >= 2, got {n}")
-    return 2.0 * math.sqrt(spec.h * spec.p * math.log(n) + gamma_const(spec)) / math.sqrt(n)
+    h, p = spec.h, spec.p
+    # gamma and the check inline: emit_epsilon_curve calls this once per value
+    try:
+        eps = 2.0 * math.sqrt(h * p * math.log(n) + (p * LN2 + h * p)) / math.sqrt(n)
+    except OverflowError:  # an int past the float range
+        eps = math.inf
+    if not math.isfinite(eps):
+        raise _not_finite(n, h, p, "divergence eps")
+    return eps
 
 
 def _require_eps(eps: float) -> None:
@@ -188,15 +216,21 @@ def psi(n: int, spec: HypothesisSpec, eps: float) -> float:
     """Signed convergence margin of the closed-form bound.
 
     psi = p * ln(2e(n-1)(e^h (n-1)^h - 1)/(e(n-1) - 1)) - n*eps^2/4.
-    Negative psi means the exponential envelope shrinks to zero.
+    Negative psi means the exponential envelope shrinks to zero. ValueError
+    when it leaves the float range (a huge p).
     """
     _require_eps(eps)
-    return spec.p * _hyperplane_series_core_log(n, spec.h) - n * eps * eps / 4.0
+    core = _hyperplane_series_core_log(n, spec.h)
+    return _finite(_float(spec.p) * core - n * eps * eps / 4.0, n, spec.h, spec.p, "psi")
 
 
 def asymptotic_condition(n: int, spec: HypothesisSpec, eps: float) -> float:
-    """p*ln(2) + h*p + h*p*ln(n) - n*eps^2/4; negative once learning is ensured."""
+    """p*ln(2) + h*p + h*p*ln(n) - n*eps^2/4; negative once learning is
+    ensured. ValueError when it leaves the float range (a huge p)."""
     if n < 2:
         raise ValueError(f"asymptotic condition needs n >= 2, got {n}")
     _require_eps(eps)
-    return gamma_const(spec) + spec.h * spec.p * math.log(n) - n * eps * eps / 4.0
+    h, p = spec.h, spec.p
+    hp = _float(h * p)
+    value = _float(p) * LN2 + hp + hp * math.log(n) - n * eps * eps / 4.0
+    return _finite(value, n, h, p, "asymptotic condition")

@@ -406,6 +406,19 @@ class TestHugeP:
         assert err.startswith("error: log count is not a finite float at n=")
         assert f", h=3, p={p}\n" in err
 
+    @pytest.mark.parametrize("p", [10**308, 10**400], ids=["1e308", "1e400"])
+    def test_curve_past_the_float_range_exit_1(self, capsys, tmp_path, monkeypatch, p):
+        # at 10**308 and h = 1 every value is inf; 10**400 is past a float
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            capsys, "curve", "--n-start", "2", "--n-end", "100", "--n-points", "3",
+            "--h-list", "1", "--p-list", str(p), "--out", "c.csv",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: divergence eps is not a finite float at n=2, h=1, p={p}\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCountPastTheDigitLimit:
     # CPython refuses to turn an int of more digits than its limit (4300 by

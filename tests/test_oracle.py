@@ -39,6 +39,29 @@ def gram_rank(rows):
     return rank
 
 
+def moment_curve(n, dim):
+    """x -> (x, x^2, ..., x^dim) at x = 0..n-1: every dim + 1 of these points
+    are affinely independent (Vandermonde)."""
+    return [tuple(x**e for e in range(1, dim + 1)) for x in range(n)]
+
+
+def room_fixtures():
+    """Sets of n = dim - 1 .. dim + 2 points at dim 2..5, the sizes around the
+    position test's room rule: the moment curve, accepted, and the same with
+    its last point moved onto a line through two earlier ones (onto point 0
+    when n = 2), rejected. n = dim - 1 leaves P one later row, dim two,
+    dim + 1 three, and dim + 2 is the first n with two prefixes P."""
+    cases = []
+    for dim in range(2, 6):
+        for n in range(dim - 1, dim + 3):
+            coords = moment_curve(n, dim)
+            cases.append((dim, coords, True))
+            if n >= 2:
+                last = tuple(F(x + y, 2) for x, y in zip(coords[0], coords[n - 2]))
+                cases.append((dim, coords[:-1] + [last], False))
+    return cases
+
+
 LINE3 = PointSet(dim=1, points=pts((0,), (1,), (2,)))
 XOR = PointSet(dim=2, points=pts((0, 0), (1, 1), (0, 1), (1, 0)))
 # the points lift with different factors k: 1, 2, 3, 12, 5, 4, 12
@@ -293,7 +316,10 @@ class TestPointSet:
             # one dimension, lift factors 2, 3, 1 and 6; 4/8 repeats 1/2
             (1, [("1/2",), ("2/3",), (3,), ("-5/6",)], True),
             (1, [("1/2",), ("2/3",), (3,), ("-5/6",), ("4/8",)], False),
-        ],
+            (1, [(0,), (0,)], False),
+            (1, [(7,), ("-7/3",), ("14/2",)], False),
+        ]
+        + room_fixtures(),
     )
     def test_degenerate_fixtures(self, dim, coords, accepted):
         rows = [[F(x) for x in p] + [F(1)] for p in coords]
@@ -308,7 +334,7 @@ class TestPointSet:
                 PointSet(dim=dim, points=pts(*coords))
 
     @given(
-        st.integers(1, 4).flatmap(
+        st.integers(1, 5).flatmap(
             lambda dim: st.tuples(
                 st.just(dim),
                 st.lists(
@@ -320,7 +346,8 @@ class TestPointSet:
     @settings(max_examples=300, deadline=None)
     def test_accepts_iff_every_subset_is_independent_on_a_small_grid(self, case):
         # coordinates in -2..2 make repeated points, collinear triples and
-        # flat subsets common, in every dimension the generator supports
+        # flat subsets common, in every dimension the generator supports and
+        # in dimension 5
         dim, coords = case
         rows = [[F(x) for x in p] + [F(1)] for p in coords]
         m = min(dim + 1, len(rows))
@@ -338,10 +365,11 @@ class TestPointSet:
         self, monkeypatch
     ):
         # machine-independent cost of the position test on an accepted
-        # (18, 3) set: a row elimination runs once per prefix of at most
-        # two points with room for a full subset, C(15, 1) + C(16, 2) = 135,
-        # and each two-point prefix (i, j) projects the 17 - j later rows
-        # with two dot products each, 800 projections in all
+        # (18, 3) set: a 4-subset is a one-point prefix P = (i) and three
+        # later rows, so a row elimination runs once per one-point prefix
+        # with room for three later rows, i <= 14: C(15, 1) = 15. Each
+        # prefix projects its 17 - i later rows with three dot products,
+        # 17 + 16 + ... + 3 = 150 projections in all
         import shatterbound.oracle as om
 
         ps = generate_general_position(18, 3, 0)
@@ -359,9 +387,9 @@ class TestPointSet:
         counted("_side")
         counted("_extend")
         assert om._in_general_position(ps.lifted, 3)
-        projections = sum(j * (17 - j) for j in range(1, 16))
-        assert projections == 800
-        assert calls == {"_side": 2 * projections, "_extend": 135}
+        projections = sum(17 - i for i in range(15))
+        assert projections == 150
+        assert calls == {"_side": 3 * projections, "_extend": 15}
 
 
 class TestGeneration:
@@ -607,6 +635,7 @@ class TestSeparableMasks:
             generate_general_position(1, 1, 0),
             generate_general_position(2, 1, 0),
             generate_general_position(9, 1, 2),
+            generate_general_position(12, 1, 0),
             generate_general_position(3, 2, 0),
             generate_general_position(7, 2, 0),
             generate_general_position(8, 2, 13),
@@ -619,7 +648,7 @@ class TestSeparableMasks:
             generate_general_position(10, 4, 3),
         ],
         ids=[
-            "1-1-0", "2-1-0", "9-1-2", "3-2-0", "7-2-0", "8-2-13", "xor",
+            "1-1-0", "2-1-0", "9-1-2", "12-1-0", "3-2-0", "7-2-0", "8-2-13", "xor",
             "mixed-denominators", "2-3-1", "10-3-1", "5-4-0", "6-4-1", "10-4-3",
         ],
     )
@@ -634,21 +663,32 @@ class TestSeparableMasks:
         assert separable_masks(ps) == brute_force_masks(ps)
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n", range(5, 13))
+    @pytest.mark.parametrize("n", range(3, 13))
     def test_counts_match_the_lp_oracle(self, n, h):
         for seed in range(3):
             ps = generate_general_position(n, h, seed)
             assert mask_count(ps) == count_dichotomies(ps)
 
+    @pytest.mark.parametrize("n", [10, 14])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_moment_curve_past_the_generator(self, n, dim):
+        # the generator stops at h = 4; the moment curve is in general
+        # position in every dimension
+        ps = PointSet(dim=dim, points=moment_curve(n, dim))
+        count = len(separable_masks(ps))
+        assert count == shatter_multi(n, HypothesisSpec(dim))
+        if n == 10:
+            assert count == count_dichotomies(ps)
+
     def test_one_elimination_per_short_prefix_and_one_projection_per_outside_row(
         self, monkeypatch
     ):
         # machine-independent cost of the (18, 3) masks: every 3-subset S is
-        # P + {y} with y after P's last index, so a prefix needs one row
-        # after it. A row elimination runs once per prefix of at most two
-        # points with that room, C(16, 1) + C(17, 2) = 152, and each of the
-        # C(17, 2) = 136 two-point prefixes projects the 16 rows outside it
-        # with two dot products each, 2176 projections in all
+        # P + {y, z} with y < z after P's one index, so a prefix needs two
+        # rows after it. A row elimination runs once per one-point prefix
+        # with that room, C(16, 1) = 16, and each of the 16 prefixes
+        # projects the 17 rows outside it with three dot products each,
+        # 272 projections in all
         import shatterbound.oracle as om
 
         ps = generate_general_position(18, 3, 0)
@@ -666,9 +706,9 @@ class TestSeparableMasks:
         counted("_side")
         counted("_extend")
         assert len(separable_masks(ps)) == shatter_multi(18, HypothesisSpec(3))
-        projections = 136 * 16
-        assert projections == 2176
-        assert calls == {"_side": 2 * projections, "_extend": 152}
+        projections = 16 * 17
+        assert projections == 272
+        assert calls == {"_side": 3 * projections, "_extend": 16}
 
 
 def sub_labeling(ps, pattern):

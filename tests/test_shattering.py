@@ -113,6 +113,19 @@ class TestFloatFold:
         with pytest.raises(ValueError, match=rf"n=100, h=3, p={p}$"):
             shatter_log(100, HypothesisSpec(3, p))
 
+    @pytest.mark.parametrize("p", [10**308, 10**400], ids=["1e308", "1e400"])
+    @pytest.mark.parametrize("call, at", [
+        (gamma_const, "h=3"),
+        (lambda spec: epsilon_curve(100, spec), "n=100, h=3"),
+        (lambda spec: psi(100, spec, 0.1), "n=100, h=3"),
+        (lambda spec: asymptotic_condition(100, spec, 0.1), "n=100, h=3"),
+    ], ids=["gamma_const", "epsilon_curve", "psi", "asymptotic_condition"])
+    def test_curve_functions_past_the_float_range_raise(self, call, at, p):
+        # at 10**308, h * p or p times a log leaves the float range (as inf
+        # or as an OverflowError converting h * p); at 10**400 p itself does
+        with pytest.raises(ValueError, match=rf"not a finite float at {at}, p={p}$"):
+            call(HypothesisSpec(3, p))
+
     @pytest.mark.parametrize("n,h", [(1, 3), (2, 3), (100, 0)])
     def test_huge_p_with_unit_binomials_stays_exact(self, n, h):
         # every C(n-1, i) in the sum is 1, so the count is 2(min(h, n-1) + 1)
