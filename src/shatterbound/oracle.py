@@ -9,10 +9,13 @@ kept as its integer lift k * (x, 1), the same ray as (x, 1), with k the lcm
 of x's denominators. One walk over index subsets extends a fraction-free
 elimination of the lifted rows along each prefix of h - 2 points and hands
 the prefix's 3-D complement to a visitor, which projects the other rows
-onto it once. The general-position test decides every (h+1)-subset through
-the prefix from cross products of the later rows' projections. In one
-dimension there is no such prefix, and both oracles work on the points
-directly.
+onto it once (in two dimensions the prefix is empty, and the lifted rows
+are their own projections). The general-position test decides every
+(h+1)-subset through the prefix from cross products of the later rows'
+projections: correctly rounded float ratios that come out distinct prove
+the directions apart, and exact gcd-reduced directions decide the rest
+(the float filter of exact predicates, Shewchuk 1997). In one dimension
+there is no such prefix, and both oracles work on the points directly.
 
 The mask oracle, ``separable_masks``, runs no LP, and ``verify_formula``
 counts with it. In general position a separating plane can be moved onto h
@@ -149,34 +152,54 @@ def _prefix_forms(lifted, dim, room, visit) -> bool:
     return walk((), (), 1, ())
 
 
+def _rows_apart(proj) -> bool:
+    """Every three of the integer 3-vectors ``proj`` are independent (one
+    vector: it is nonzero), that is, for each row W_j = (a, b, c), its cross
+    products with the rows after it are nonzero and pairwise non-parallel.
+    W_j x W_k begins with p = b z - c y and q = c x - a z, and the row's
+    keys are the floats p / q. CPython's int / int is correctly rounded, so
+    equal ratios give equal floats: when every q is nonzero and the keys
+    are distinct, every cross product is nonzero and no two are parallel
+    (parallel ones have equal ratios), and the row is accepted. The cross
+    products lie in W_j's orthogonal plane, so when c != 0, (p, q) fixes
+    them, and the keys of a row that passes are distinct unless two ratios
+    round to one float. In every other case (c == 0, some q == 0, a ratio
+    past the float range, a collision) the row is decided exactly: each
+    cross product, divided by the gcd of its entries and signed so that its
+    first nonzero entry is positive, goes into a set."""
+    if len(proj) == 1:  # n == dim - 1: no second row to cross with
+        return any(proj[0])
+    for j, (a, b, c) in enumerate(proj):
+        rest = proj[j + 1:]
+        try:
+            if len({(b * z - c * y) / (c * x - a * z) for x, y, z in rest}) == len(rest):
+                continue
+        except (ZeroDivisionError, OverflowError):
+            pass
+        seen = set()
+        for x, y, z in rest:
+            p, q, r = b * z - c * y, c * x - a * z, a * y - b * x
+            k = gcd(p, q, r) if (p, q, r) > (0, 0, 0) else -gcd(p, q, r)
+            if not k:
+                return False
+            seen.add((p // k, q // k, r // k))
+        if len(seen) < len(rest):
+            return False
+    return True
+
+
 def _in_general_position(lifted, dim) -> bool:
     """Every min(dim + 1, n) lifted rows are independent (see PointSet)."""
     if dim == 1:  # each rational has one lift (numerator, denominator)
         return len(set(lifted)) == len(lifted)
 
     def later_rows_apart(prefix, u, v, w):
-        # prefix + {x, y, z} is independent iff the projections X, Y, Z are,
-        # that is iff X x Y and X x Z are nonzero and not parallel: for each
-        # later row, its cross products with the rows after it must be
-        # nonzero and point in distinct directions
-        proj = [
-            (_side(u, y), _side(v, y), _side(w, y))
-            for y in lifted[prefix[-1] + 1 if prefix else 0:]
-        ]
-        if len(proj) == 1:  # n == dim - 1: no second row to cross with
-            return any(proj[0])
-        for j, (a, b, c) in enumerate(proj):
-            seen = set()
-            for x, y, z in proj[j + 1:]:
-                p, q, r = b * z - c * y, c * x - a * z, a * y - b * x
-                # the direction, signed so that its first nonzero entry is positive
-                k = gcd(p, q, r) if (p, q, r) > (0, 0, 0) else -gcd(p, q, r)
-                if not k:
-                    return False
-                seen.add((p // k, q // k, r // k))
-            if len(seen) < len(proj) - j - 1:
-                return False
-        return True
+        # prefix + {x, y, z} is independent iff the projections X, Y, Z are
+        if not prefix:  # dim == 2: u, v, w are the unit vectors
+            return _rows_apart(lifted)
+        return _rows_apart([
+            (_side(u, y), _side(v, y), _side(w, y)) for y in lifted[prefix[-1] + 1:]
+        ])
 
     # n <= dim: the one subset is all n rows, so fewer than 3 rows follow P
     return _prefix_forms(lifted, dim, min(3, len(lifted) - dim + 2), later_rows_apart)
@@ -194,10 +217,12 @@ class PointSet:
     integer vectors spanning the complement of the prefix, each later row is
     projected onto them once, three dot products per row, and the subsets
     through the prefix are decided from integer cross products of those
-    projections. In one dimension general position means distinct points,
-    that is distinct lifts. ``seed`` and ``resamples`` record generation
-    provenance when applicable. ``lifted`` holds each point's integer lift,
-    read by the position test and by both oracles.
+    projections, by float keys that are trusted only when they prove the
+    directions apart and by exact gcd-reduced directions otherwise (see
+    ``_rows_apart``). In one dimension general position means distinct
+    points, that is distinct lifts. ``seed`` and ``resamples`` record
+    generation provenance when applicable. ``lifted`` holds each point's
+    integer lift, read by the position test and by both oracles.
     """
 
     dim: int
@@ -209,7 +234,10 @@ class PointSet:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError(f"dimension must be positive, got {self.dim}")
-        pts = tuple(tuple(Fraction(x) for x in p) for p in self.points)
+        pts = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in p)
+            for p in self.points
+        )
         object.__setattr__(self, "points", pts)
         if not pts:
             raise ValueError("point set must be nonempty")
@@ -466,11 +494,14 @@ def separable_masks(ps: PointSet) -> frozenset[int]:
         for i in prefix:
             tilts += [t | 1 << i for t in tilts]
         # every point outside P, as (its bit, its projection)
-        proj = [
-            (1 << i, _side(u, z), _side(v, z), _side(w, z))
-            for i, z in enumerate(lifted)
-            if not held >> i & 1
-        ]
+        if prefix:
+            proj = [
+                (1 << i, _side(u, z), _side(v, z), _side(w, z))
+                for i, z in enumerate(lifted)
+                if not held >> i & 1
+            ]
+        else:  # h == 2: u, v, w are the unit vectors
+            proj = [(1 << i, *z) for i, z in enumerate(lifted)]
         after = held.bit_length()  # S = P + {y, z} for y < z past P's last index
         later = [x for x in proj if x[0] >> after]
         for j, (ybit, a, b, c) in enumerate(later):

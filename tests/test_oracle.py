@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import shatterbound.oracle as om
 from shatterbound.oracle import (
     GeneralPositionError,
     PointSet,
@@ -107,8 +108,6 @@ def learning_counters(monkeypatch):
     """The patterns the enumeration learns, in order, the new point k each
     was learned at, and the labelings they prune, live through
     shatterbound.oracle."""
-    import shatterbound.oracle as om
-
     seen = {"patterns": [], "points": [], "prunes": 0}
     learn, refuted = om._radon_pattern, om._refuted
 
@@ -126,6 +125,25 @@ def learning_counters(monkeypatch):
     monkeypatch.setattr(om, "_radon_pattern", pattern)
     monkeypatch.setattr(om, "_refuted", pruned)
     return seen
+
+
+def walk_counters(monkeypatch):
+    """Live counts of the subset walk's work through shatterbound.oracle:
+    row eliminations (_extend) and dot products (_side)."""
+    calls = {"_side": 0, "_extend": 0}
+
+    def counted(name):
+        fn = getattr(om, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(om, name, wrapper)
+
+    counted("_side")
+    counted("_extend")
+    return calls
 
 
 def brute_force_masks(ps):
@@ -165,6 +183,51 @@ def small_general_position(draw):
         return PointSet(dim=h, points=pts(*coords))
     except ValueError:
         assume(False)
+
+
+@st.composite
+def wide_sets(draw):
+    """Up to 7 points in dimension 2 to 4 with coordinates a / b, |a| up to
+    10^6 and b up to 10^3; in about two draws of three one point is a copy
+    of an earlier one or lies on a line through two others."""
+    dim, n = draw(st.integers(2, 4)), draw(st.integers(1, 7))
+    coord = st.builds(F, st.integers(-(10**6), 10**6), st.integers(1, 10**3))
+    point = st.tuples(*[coord] * dim)
+    kind = draw(st.sampled_from(("general", "copy", "line")))
+    if kind == "copy" and n >= 2:
+        coords = draw(st.lists(point, min_size=n - 1, max_size=n - 1))
+        extra = draw(st.sampled_from(coords))
+    elif kind == "line" and n >= 3:
+        coords = draw(st.lists(point, min_size=n - 1, max_size=n - 1))
+        i, j = draw(st.permutations(range(n - 1)))[:2]
+        t = draw(coord)
+        extra = tuple(a + t * (b - a) for a, b in zip(coords[i], coords[j]))
+    else:
+        return dim, draw(st.lists(point, min_size=n, max_size=n))
+    coords.insert(draw(st.integers(0, n - 1)), extra)
+    return dim, coords
+
+
+BIG = 2**53
+HUGE = 10**200
+
+
+def lifts(*coords):
+    return tuple(om._lift(tuple(F(x) for x in p)) for p in coords)
+
+
+def first_row_keys(rows):
+    """What the position test's float filter meets on the first of three or
+    more integer rows: "distinct" keys p / q, a "collision" of two keys,
+    "q = 0" or "overflow"."""
+    (a, b, c), rest = rows[0], rows[1:]
+    try:
+        keys = {(b * z - c * y) / (c * x - a * z) for x, y, z in rest}
+    except ZeroDivisionError:
+        return "q = 0"
+    except OverflowError:
+        return "overflow"
+    return "distinct" if len(keys) == len(rest) else "collision"
 
 
 class TestPointSet:
@@ -370,26 +433,105 @@ class TestPointSet:
         # with room for three later rows, i <= 14: C(15, 1) = 15. Each
         # prefix projects its 17 - i later rows with three dot products,
         # 17 + 16 + ... + 3 = 150 projections in all
-        import shatterbound.oracle as om
-
         ps = generate_general_position(18, 3, 0)
-        calls = {"_side": 0, "_extend": 0}
-
-        def counted(name):
-            fn = getattr(om, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            monkeypatch.setattr(om, name, wrapper)
-
-        counted("_side")
-        counted("_extend")
+        calls = walk_counters(monkeypatch)
         assert om._in_general_position(ps.lifted, 3)
         projections = sum(17 - i for i in range(15))
         assert projections == 150
         assert calls == {"_side": 3 * projections, "_extend": 15}
+
+    def test_two_dimensions_take_the_lifted_rows_as_projections(self, monkeypatch):
+        # at h = 2 the prefix is empty and u, v, w are the unit vectors, so
+        # the walk eliminates nothing and the later rows are their own
+        # projections
+        ps = generate_general_position(14, 2, 3)
+        calls = walk_counters(monkeypatch)
+        assert om._in_general_position(ps.lifted, 2)
+        assert calls == {"_side": 0, "_extend": 0}
+
+
+class TestFloatKeys:
+    """The position test keys each later row's cross products by the float
+    p / q and falls back to exact directions when the keys cannot decide.
+    At dim 2 the prefix is empty and the lifted rows are the projections,
+    so integer rows given to _in_general_position(rows, 2) reach the filter
+    as they are; the first row (0, 0, 1), the lift of the origin, keys a
+    point (x, y) by -y / x."""
+
+    @pytest.mark.parametrize(
+        "rows, branch, apart",
+        [
+            (lifts((0, 0), (1, 2), (3, 1)), "distinct", True),
+            # 2^53 / (2^53 + 1) and (2^53 + 2) / (2^53 + 3) round to one float
+            (lifts((0, 0), (BIG + 1, -BIG), (BIG + 3, -BIG - 2)), "collision", True),
+            (lifts((0, 0), (BIG + 1, -BIG), (2 * BIG + 2, -2 * BIG)), "collision", False),
+            (lifts((0, 0), (0, 1), (1, 0)), "q = 0", True),
+            (lifts((0, 0), (0, 1), (0, 2)), "q = 0", False),
+            (lifts((0, 0), (0, 0), (1, 0)), "q = 0", False),
+            # a first row with c = 0: every key is 0 / -z
+            (((1, 0, 0), (0, 1, 1), (0, 2, 1)), "collision", True),
+            (((1, 0, 0), (0, 1, 1), (0, 2, 2)), "collision", False),
+            # lifts (k, 10^400, 10^200): keys near -10^400 leave the float range
+            (lifts((0, 0), (F(1, HUGE), HUGE), (F(2, HUGE), HUGE)), "overflow", True),
+            (lifts((0, 0), (F(1, HUGE), HUGE), (F(2, HUGE), 2 * HUGE)), "overflow", False),
+        ],
+        ids=[
+            "distinct", "collision-apart", "collision-parallel", "q0-apart",
+            "q0-parallel", "q0-repeated", "c0-apart", "c0-parallel", "overflow-apart",
+            "overflow-parallel",
+        ],
+    )
+    def test_every_branch_decides_exactly(self, rows, branch, apart):
+        assert first_row_keys(rows) == branch
+        exact = [[F(v) for v in y] for y in rows]
+        assert apart == all(
+            gram_rank(subset) == 3 for subset in itertools.combinations(exact, 3)
+        )
+        assert om._in_general_position(rows, 2) == apart
+
+    @pytest.mark.parametrize(
+        "coords, accepted",
+        [
+            ([(1, 0, 0), (1, 1, 0), (-2, 1, 3), (3, 3, -3), (-1, -3, 0)], True),
+            # the last point is p0 + p2 - p1, in the plane of the first three
+            ([(1, 0, 0), (1, 1, 0), (-2, 1, 3), (3, 3, -3), (-2, 0, 3)], False),
+        ],
+    )
+    def test_a_projection_with_c_zero(self, monkeypatch, coords, accepted):
+        # the prefix (1, 0, 0) projects an integer point y to
+        # (y2, y3, 1 - y1), so (1, 1, 0) projects to (1, 0, 0)
+        seen = []
+        rows_apart = om._rows_apart
+
+        def recorded(proj):
+            seen.append(proj)
+            return rows_apart(proj)
+
+        monkeypatch.setattr(om, "_rows_apart", recorded)
+        rows = [[F(x) for x in p] + [F(1)] for p in coords]
+        assert accepted == all(
+            gram_rank(subset) == 4 for subset in itertools.combinations(rows, 4)
+        )
+        assert om._in_general_position(lifts(*coords), 3) == accepted
+        assert seen[0][0] == (1, 0, 0)
+
+    @given(wide_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_iff_every_subset_is_independent_on_wide_coordinates(self, case):
+        # numerators up to 10^6 over denominators up to 10^3: a float
+        # collision between keys is no longer a sign of a parallel pair
+        dim, coords = case
+        rows = [list(p) + [F(1)] for p in coords]
+        m = min(dim + 1, len(rows))
+        expect = all(
+            gram_rank(subset) == m for subset in itertools.combinations(rows, m)
+        )
+        try:
+            PointSet(dim=dim, points=coords)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == expect
 
 
 class TestGeneration:
@@ -595,8 +737,6 @@ class TestCountDichotomies:
         # feasible re-solve a point whose row is in the tableau already lies
         # on its side of the new plane, so only the other prefix points are
         # tested. Testing every prefix point made 3714 and 12 141 calls.
-        import shatterbound.oracle as om
-
         ps = generate_general_position(n, h, seed)  # the position test is not counted
         calls = [0]
         side = om._side
@@ -689,26 +829,18 @@ class TestSeparableMasks:
         # with that room, C(16, 1) = 16, and each of the 16 prefixes
         # projects the 17 rows outside it with three dot products each,
         # 272 projections in all
-        import shatterbound.oracle as om
-
         ps = generate_general_position(18, 3, 0)
-        calls = {"_side": 0, "_extend": 0}
-
-        def counted(name):
-            fn = getattr(om, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            monkeypatch.setattr(om, name, wrapper)
-
-        counted("_side")
-        counted("_extend")
+        calls = walk_counters(monkeypatch)
         assert len(separable_masks(ps)) == shatter_multi(18, HypothesisSpec(3))
         projections = 16 * 17
         assert projections == 272
         assert calls == {"_side": 3 * projections, "_extend": 16}
+
+    def test_two_dimensions_take_the_lifted_rows_as_projections(self, monkeypatch):
+        ps = generate_general_position(14, 2, 3)
+        calls = walk_counters(monkeypatch)
+        assert len(separable_masks(ps)) == shatter_multi(14, HypothesisSpec(2))
+        assert calls == {"_side": 0, "_extend": 0}
 
 
 def sub_labeling(ps, pattern):
@@ -753,8 +885,6 @@ class TestLearnedPatterns:
                 assert is_separable(*sub_labeling(ps, pattern)) is None
 
     def test_xor_certificate_is_the_whole_square(self):
-        import shatterbound.oracle as om
-
         _, y = om._separation(XOR.lifted, 0b0011)
         assert y is not None
         assert om._radon_pattern(y, (0, 1, 2, 3), 0b0011, XOR.lifted, 3) == (
@@ -762,8 +892,6 @@ class TestLearnedPatterns:
         )
 
     def test_nonzero_combination_raises(self):
-        import shatterbound.oracle as om
-
         _, y = om._separation(XOR.lifted, 0b0011)
         # the multipliers of one labeling do not cancel under another
         with pytest.raises(RuntimeError, match="no certificate"):
@@ -776,8 +904,6 @@ class TestLearnedPatterns:
                 om._radon_pattern({r: 1}, (0, 1, 2, 3), 0b0101, XOR.lifted, 3)
 
     def test_support_missing_the_new_point_raises(self):
-        import shatterbound.oracle as om
-
         _, y = om._separation(XOR.lifted, 0b0011)
         lifted = XOR.lifted + ((5, 7, 1),)
         with pytest.raises(RuntimeError, match="holding point 4"):
@@ -808,8 +934,6 @@ class TestVerifyFormula:
         assert [t.seed for t in a.results] == [t.seed for t in b.results]
 
     def test_counts_without_an_lp(self, monkeypatch):
-        import shatterbound.oracle as om
-
         def no_lp(*args):
             raise AssertionError("verify_formula built an LP tableau")
 
@@ -831,8 +955,6 @@ class TestVerifyFormula:
 
 class TestGenerationFailure:
     def test_exhausted_retries_raise(self, monkeypatch):
-        import shatterbound.oracle as om
-
         monkeypatch.setattr(om, "_in_general_position", lambda pts, dim: False)
         with pytest.raises(GeneralPositionError):
             generate_general_position(5, 2, 0)
