@@ -104,26 +104,19 @@ def lp_counters(monkeypatch):
     return calls
 
 
-def learning_counters(monkeypatch):
-    """The patterns the enumeration learns, in order, the new point k each
-    was learned at, and the labelings they prune, live through
-    shatterbound.oracle."""
-    seen = {"patterns": [], "points": [], "prunes": 0}
-    learn, refuted = om._radon_pattern, om._refuted
+def proof_recorder(monkeypatch):
+    """The infeasibility proofs the LP checks, in order, live through
+    shatterbound.oracle: one (support mask, plus bits, last point) triple
+    per proof, the last point being the highest index its tableau holds."""
+    seen = []
+    support = om._proof_support
 
-    def pattern(y, order, plus, lifted, k):
-        found = learn(y, order, plus, lifted, k)
-        seen["patterns"].append(found)
-        seen["points"].append(k)
-        return found
+    def recorded(y, plus, lifted):
+        supp = support(y, plus, lifted)
+        seen.append((supp, plus, len(lifted) - 1))
+        return supp
 
-    def pruned(*args):
-        hit = refuted(*args)
-        seen["prunes"] += hit
-        return hit
-
-    monkeypatch.setattr(om, "_radon_pattern", pattern)
-    monkeypatch.setattr(om, "_refuted", pruned)
+    monkeypatch.setattr(om, "_proof_support", recorded)
     return seen
 
 
@@ -709,45 +702,49 @@ class TestCountDichotomies:
         ps = generate_general_position(16, 3, 0)
         assert count_dichotomies(ps) == shatter_multi(16, HypothesisSpec(3))
 
-    def test_row_generation_keeps_the_decisions_and_cuts_the_rows(self, monkeypatch):
+    def test_each_decision_is_one_copy_and_one_warm_solve(self, monkeypatch):
         # machine-independent cost of the (12, 3, seed 5) count, pinned
-        # exactly so that any change to the pivot path shows. The tree fixes
-        # 561 decisions past the cold root solve: each is a copy re-solved
-        # or a labeling a learned pattern prunes. The max-margin program
-        # over (w+, w-, b+, b-, t) split them into 347 copies and 214 prunes
-        # with 463 re-solve rounds, 877 pivots and rows 2h + 4 wide.
+        # exactly so that any change to the pivot path shows. Past the cold
+        # root solve, each separable prefix of 1..11 labels (labels[0] = +1)
+        # has two children, and each child is one copy and one warm solve;
+        # the children that are not separable prefixes end in a proof
         calls = lp_counters(monkeypatch)
-        learned = learning_counters(monkeypatch)
+        proofs = proof_recorder(monkeypatch)
         ps = generate_general_position(12, 3, 5)
         assert count_dichotomies(ps) == 464
-        assert calls == {"solve": 1 + 475, "copy": 343, "pivot": 536, "rows": 3102}
-        assert len(learned["patterns"]) == 112
-        assert learned["prunes"] == 218
-        assert calls["copy"] + learned["prunes"] == 561
+        half = [shatter_multi(k, HypothesisSpec(3)) // 2 for k in range(1, 13)]
+        decisions = sum(half[:-1])
+        assert decisions == 561
+        assert calls == {"solve": 1123, "copy": 1122, "pivot": 808, "rows": 7375}
+        assert calls["solve"] == calls["copy"] + 1 == 2 * decisions + 1
+        assert len(proofs) == 2 * decisions - sum(half[1:]) == 330
 
     @pytest.mark.parametrize(
-        ("n", "h", "seed", "count", "sign_tests"),
-        [(12, 3, 5, 464, 1828), (16, 3, 0, 1152, 6619)],
+        ("n", "h", "seed", "count"),
+        [(12, 3, 5, 464), (16, 3, 0, 1152)],
         ids=["12-3-5", "16-3-0"],
     )
-    def test_sign_tests_skip_the_points_the_tableau_holds(
-        self, n, h, seed, count, sign_tests, monkeypatch
-    ):
-        # exact sign tests (_side calls) of the enumeration, pinned: after a
-        # feasible re-solve a point whose row is in the tableau already lies
-        # on its side of the new plane, so only the other prefix points are
-        # tested. Testing every prefix point made 3714 and 12 141 calls.
-        ps = generate_general_position(n, h, seed)  # the position test is not counted
-        calls = [0]
-        side = om._side
+    def test_counts_without_the_subset_walk(self, n, h, seed, count, monkeypatch):
+        # the two oracles share only the point set: with the walk, its
+        # projections and the mask oracle gone, the LP count stands
+        ps = generate_general_position(n, h, seed)  # the position test walks first
 
-        def counted(normal, y):
-            calls[0] += 1
-            return side(normal, y)
+        def walk(*args):
+            raise AssertionError("the LP oracle ran the subset walk")
 
-        monkeypatch.setattr(om, "_side", counted)
+        for name in ("_side", "_prefix_forms", "separable_masks"):
+            monkeypatch.setattr(om, name, walk)
         assert count_dichotomies(ps) == count
-        assert calls[0] == sign_tests
+
+    @given(wide_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_mask_oracle_on_wide_coordinates(self, case):
+        dim, coords = case
+        try:
+            ps = PointSet(dim=dim, points=coords)
+        except ValueError:
+            assume(False)
+        assert count_dichotomies(ps) == len(separable_masks(ps))
 
     @given(small_general_position())
     @settings(max_examples=60, deadline=None)
@@ -759,13 +756,8 @@ class TestCountDichotomies:
         [MIXED, generate_general_position(8, 4, 2)],
         ids=["mixed-denominators", "8-points-dim-4"],
     )
-    def test_matches_brute_force_after_second_rounds(self, ps, monkeypatch):
-        # on these sets some re-solved plane fails a point left out of the
-        # tableau, whose row joins for another round: more rounds than copies
-        expect = len(brute_force_masks(ps))
-        calls = lp_counters(monkeypatch)
-        assert count_dichotomies(ps) == expect
-        assert calls["solve"] - 1 > calls["copy"]  # one cold solve at the root
+    def test_matches_brute_force_on_fixed_sets(self, ps):
+        assert count_dichotomies(ps) == len(brute_force_masks(ps))
 
 
 class TestSeparableMasks:
@@ -820,6 +812,18 @@ class TestSeparableMasks:
         if n == 10:
             assert count == count_dichotomies(ps)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_quadratic_features_of_plane_points(self, seed):
+        # (x, y) -> (x, y, x^2, xy, y^2): the images of ten random integer
+        # points of the plane are in general position in R^5, and their
+        # count is the h = 5 formula
+        rng = random.Random(seed)
+        plane = [(rng.randint(-30, 30), rng.randint(-30, 30)) for _ in range(10)]
+        ps = PointSet(dim=5, points=[(x, y, x * x, x * y, y * y) for x, y in plane])
+        count = len(separable_masks(ps))
+        assert count == shatter_multi(10, HypothesisSpec(5)) == 764
+        assert count == count_dichotomies(ps)
+
     def test_one_elimination_per_short_prefix_and_one_projection_per_outside_row(
         self, monkeypatch
     ):
@@ -843,16 +847,15 @@ class TestSeparableMasks:
         assert calls == {"_side": 0, "_extend": 0}
 
 
-def sub_labeling(ps, pattern):
-    """The points of a (support mask, plus bits) pattern as a PointSet, with
-    the pattern's labels."""
-    supp, plus = pattern
+def sub_labeling(ps, supp, plus):
+    """The points of a support mask as a PointSet, labelled by the plus
+    bits."""
     idx = [i for i in range(len(ps)) if supp >> i & 1]
     sub = PointSet(dim=ps.dim, points=tuple(ps.points[i] for i in idx))
     return sub, tuple(1 if plus >> i & 1 else -1 for i in idx)
 
 
-class TestLearnedPatterns:
+class TestInfeasibilityProofs:
     @pytest.mark.parametrize(
         "ps",
         [
@@ -864,50 +867,64 @@ class TestLearnedPatterns:
         ],
         ids=["mixed-denominators", "14-2-1", "12-3-5", "16-3-0", "10-4-3"],
     )
-    def test_every_pattern_spans_h_plus_two_points(self, ps, monkeypatch):
+    def test_every_proof_spans_h_plus_two_points_with_the_new_one(
+        self, ps, monkeypatch
+    ):
         # in general position a Radon partition needs all h + 2 points
-        learned = learning_counters(monkeypatch)
+        proofs = proof_recorder(monkeypatch)
         count_dichotomies(ps)
-        assert learned["patterns"]
-        for (m, p), k in zip(learned["patterns"], learned["points"]):
-            assert bin(m).count("1") == ps.dim + 2
-            assert m >> k & 1
-            assert p == p & m
+        assert proofs
+        for supp, _, k in proofs:
+            assert bin(supp).count("1") == ps.dim + 2
+            assert supp >> k & 1
 
     @given(small_general_position())
     @settings(max_examples=60, deadline=None)
-    def test_cold_lp_rejects_every_learned_pattern(self, ps):
+    def test_cold_lp_rejects_every_proof_support(self, ps):
         with pytest.MonkeyPatch.context() as mp:
-            learned = learning_counters(mp)
+            proofs = proof_recorder(mp)
             count_dichotomies(ps)
-        for m, p in learned["patterns"]:
-            for pattern in ((m, p), (m, m ^ p)):
-                assert is_separable(*sub_labeling(ps, pattern)) is None
+        for supp, plus, _ in proofs:
+            for bits in (plus, supp ^ plus):
+                assert is_separable(*sub_labeling(ps, supp, bits)) is None
 
     def test_xor_certificate_is_the_whole_square(self):
         _, y = om._separation(XOR.lifted, 0b0011)
         assert y is not None
-        assert om._radon_pattern(y, (0, 1, 2, 3), 0b0011, XOR.lifted, 3) == (
-            0b1111, 0b0011
-        )
+        assert om._proof_support(y, 0b0011, XOR.lifted) == 0b1111
 
     def test_nonzero_combination_raises(self):
         _, y = om._separation(XOR.lifted, 0b0011)
         # the multipliers of one labeling do not cancel under another
-        with pytest.raises(RuntimeError, match="no certificate"):
-            om._radon_pattern(y, (0, 1, 2, 3), 0b0101, XOR.lifted, 3)
+        with pytest.raises(RuntimeError, match="prove nothing"):
+            om._proof_support(y, 0b0101, XOR.lifted)
         # nor does a single row, under a labeling the tableau finds feasible
-        _, y = om._separation(XOR.lifted, 0b0101)
-        assert y is None
+        _, none = om._separation(XOR.lifted, 0b0101)
+        assert none is None
         for r in range(4):
-            with pytest.raises(RuntimeError, match="no certificate"):
-                om._radon_pattern({r: 1}, (0, 1, 2, 3), 0b0101, XOR.lifted, 3)
+            with pytest.raises(RuntimeError, match="prove nothing"):
+                om._proof_support({r: 1}, 0b0101, XOR.lifted)
+        # multipliers that cancel must also be positive
+        for bad in ({r: -v for r, v in y.items()}, {}):
+            with pytest.raises(RuntimeError, match="prove nothing"):
+                om._proof_support(bad, 0b0011, XOR.lifted)
 
-    def test_support_missing_the_new_point_raises(self):
-        _, y = om._separation(XOR.lifted, 0b0011)
-        lifted = XOR.lifted + ((5, 7, 1),)
-        with pytest.raises(RuntimeError, match="holding point 4"):
-            om._radon_pattern(y, (0, 1, 2, 3), 0b10011, lifted, 4)
+    def test_support_missing_the_new_point_raises(self, monkeypatch):
+        # a proof without point k would make the parent's prefix inseparable
+        support = om._proof_support
+
+        def without_last(y, plus, lifted):
+            return support(y, plus, lifted) & ~(1 << len(lifted) - 1)
+
+        monkeypatch.setattr(om, "_proof_support", without_last)
+        with pytest.raises(RuntimeError, match="leave out point 3"):
+            count_dichotomies(XOR)
+
+    def test_is_separable_checks_its_proof(self, monkeypatch):
+        # a bogus proof of a separable labeling is refused, not returned as None
+        monkeypatch.setattr(om, "_separation", lambda lifted, plus: (None, {0: 1}))
+        with pytest.raises(RuntimeError, match="prove nothing"):
+            is_separable(XOR, (1, 1, 1, 1))
 
 
 class TestVerifyFormula:
