@@ -22,7 +22,13 @@ The mask oracle, ``separable_masks``, runs no LP, and ``verify_formula``
 counts with it. In general position a separating plane can be moved onto h
 of the points without changing its labeling (Cover 1965), so the separable
 labelings are the sign vectors of the planes through h points, read off the
-same walk's projections, each with every labeling of those h points.
+same walk's projections, each with every labeling of those h points. The
+planes through an (h-1)-flat of the points form a pencil: one half-turn
+about the flat passes each other point once, and flips its label there, so
+one angular sort of the other points' 2-D images gives the labelings of
+all the pencil's planes as running XORs (the rotational sweep of an
+arrangement, Edelsbrunner 1987). The sort trusts correctly rounded float
+ratios only when they come out distinct and orders the rest exactly.
 
 The LP oracle, ``count_dichotomies``, is the reference the test suite holds
 the mask oracle to. Separability is exact feasibility of
@@ -395,6 +401,48 @@ def count_dichotomies(ps: PointSet) -> int:
     return 2 * extend(1, 1, _separation(lifted[:1], 1)[0])
 
 
+def _cells(wy, rest) -> list[int]:
+    """The labelings that the planes through a flat F give the points
+    outside F, one per cell of a half-turn about F, from one sort.
+
+    ``wy`` = (a, b, c) is the projection W_y of F's last point y onto the
+    complement of F's other points, and ``rest`` holds every point x
+    outside F as (its bit, W_x). A plane through F has a normal N
+    orthogonal to W_y and labels x by the sign of N . W_x. Keep two entries
+    of each vector orthogonal to W_y, dropping one where W_y is nonzero, so
+    that (p, q) is x's image, taken from W_y x W_x (with c != 0 the p and q
+    of ``_rows_apart``): then N . W_x has the sign of the 2-D cross product
+    of N's image with x's image, up to one sign for every x. As N makes a
+    half-turn, each x flips once, when N passes its image, so the labelings
+    are the running XORs of the bits in the images' angular order, starting
+    from the cell just before angle 0 (the images with q > 0, or q = 0 and
+    p > 0); the last, the complement of the first, is left out. The images
+    are nonzero and pairwise non-parallel, since F + {x, x'} is h + 1 points
+    in general position, so their angles are distinct. The order is that of
+    the correctly rounded float keys p / -q, which are monotone in the
+    exact ratios: distinct keys give it exactly, and a tie, q = 0 (angle 0,
+    first) or a ratio past the float range falls back to Fraction keys."""
+    a, b, c = wy  # each x as (p, -q, its bit)
+    if c:
+        lines = [(b * z - c * y, a * z - c * x, bit) for bit, x, y, z in rest]
+    elif b:  # W_y x W_x without its middle entry
+        lines = [(b * z, b * x - a * y, bit) for bit, x, y, z in rest]
+    else:  # W_y = (a, 0, 0): W_y x W_x without its first entry
+        lines = [(-a * z, -a * y, bit) for bit, x, y, z in rest]
+    try:
+        keyed = {p / nq: bit for p, nq, bit in lines}
+    except (ZeroDivisionError, OverflowError):
+        keyed = {}
+    if len(keyed) < len(lines):  # a tie, q = 0 or a ratio past the float range
+        keyed = {(nq != 0, Fraction(p, nq) if nq else 0): bit for p, nq, bit in lines}
+    cell = sum(bit for p, nq, bit in lines if nq < 0 or not nq and p > 0)
+    cells = [cell]
+    for key in sorted(keyed)[:-1]:
+        cell ^= keyed[key]
+        cells.append(cell)
+    return cells
+
+
 def separable_masks(ps: PointSet) -> frozenset[int]:
     """The labelings of ps that some hyperplane strictly separates, each as
     an int whose bit i is set when point i is labelled +1, found without an
@@ -411,9 +459,15 @@ def separable_masks(ps: PointSet) -> frozenset[int]:
     position test reaches S as P + {y, z}, y < z after P's last index; with
     W_x = (u . x, v . x, w . x) the projection of x onto P's complement,
     (W_y x W_z) . W_x is that determinant times a nonzero factor fixed by
-    P, whose sign the negation makes irrelevant. In one dimension the
-    planes are thresholds, and the labelings are the 2n that label the
-    points below some cut -1 and the rest +1, or the other way round.
+    P, whose sign the negation makes irrelevant. So the planes through S
+    are those through the (h-1)-flat F = P + {y} and one more point, and
+    one half-turn about F passes all of them: ``_cells`` reads their
+    labelings off one angular sort of the other points per flat, with y
+    every point after P's last index but the last. Each labeling goes in
+    with every labeling of F, and the negations are added once at the end.
+    In one dimension the planes are thresholds, and the labelings are the
+    2n that label the points below some cut -1 and the rest +1, or the
+    other way round.
     """
     n, h = len(ps), ps.dim
     _require_enumerable(n)
@@ -442,23 +496,18 @@ def separable_masks(ps: PointSet) -> frozenset[int]:
             ]
         else:  # h == 2: u, v, w are the unit vectors
             proj = [(1 << i, *z) for i, z in enumerate(lifted)]
-        after = held.bit_length()  # S = P + {y, z} for y < z past P's last index
-        later = [x for x in proj if x[0] >> after]
-        for j, (ybit, a, b, c) in enumerate(later):
-            for zbit, d, e, f in later[j + 1:]:
-                p, q, r = b * f - c * e, c * d - a * f, a * e - b * d
-                plus = sum(bit for bit, x, y, z in proj if p * x + q * y + r * z > 0)
-                minus = full ^ plus ^ held ^ ybit ^ zbit
-                yz = ybit | zbit
-                for t in tilts:
-                    pt, mt = plus | t, minus | t
-                    masks.update(
-                        (pt, mt, pt | ybit, mt | ybit, pt | zbit, mt | zbit, pt | yz, mt | yz)
-                    )
+        found = set()  # labelings of the points outside P
+        # F = P + {y} for y past P's last index, other than the last point
+        for j in range(len(proj) - n + held.bit_length(), len(proj) - 1):
+            ybit, *wy = proj[j]
+            cells = _cells(wy, proj[:j] + proj[j + 1:])
+            found.update(cells, [c | ybit for c in cells])
+        for t in tilts:
+            masks.update([t | m for m in found])
         return True
 
     _prefix_forms(lifted, h, 2, planes_through)
-    return frozenset(masks)
+    return frozenset(masks | {full ^ m for m in masks})
 
 
 @dataclass(frozen=True)

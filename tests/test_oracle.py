@@ -120,10 +120,11 @@ def proof_recorder(monkeypatch):
     return seen
 
 
-def walk_counters(monkeypatch):
+def walk_counters(monkeypatch, *more):
     """Live counts of the subset walk's work through shatterbound.oracle:
-    row eliminations (_extend) and dot products (_side)."""
-    calls = {"_side": 0, "_extend": 0}
+    row eliminations (_extend) and dot products (_side), and the calls of
+    any functions named in ``more``."""
+    calls = dict.fromkeys(("_side", "_extend") + more, 0)
 
     def counted(name):
         fn = getattr(om, name)
@@ -134,8 +135,8 @@ def walk_counters(monkeypatch):
 
         monkeypatch.setattr(om, name, wrapper)
 
-    counted("_side")
-    counted("_extend")
+    for name in calls:
+        counted(name)
     return calls
 
 
@@ -221,6 +222,37 @@ def first_row_keys(rows):
     except OverflowError:
         return "overflow"
     return "distinct" if len(keys) == len(rest) else "collision"
+
+
+def flat_keys(wy, rest):
+    """What the mask oracle's angular order meets at a flat whose last point
+    projects to wy = (a, b, c): "c = 0" or "b = c = 0" when W_y has those
+    zeros, and otherwise what the float keys p / -q of the other points'
+    images meet, named as in first_row_keys."""
+    a, b, c = wy
+    if not c:
+        return "c = 0" if b else "b = c = 0"
+    try:
+        keys = {(b * z - c * y) / (a * z - c * x) for _, x, y, z in rest}
+    except ZeroDivisionError:
+        return "q = 0"
+    except OverflowError:
+        return "overflow"
+    return "distinct" if len(keys) == len(rest) else "collision"
+
+
+def swept_flats(monkeypatch):
+    """flat_keys of every flat that the mask oracle sweeps, live through
+    shatterbound.oracle."""
+    seen = []
+    cells = om._cells
+
+    def recorded(wy, rest):
+        seen.append(flat_keys(wy, rest))
+        return cells(wy, rest)
+
+    monkeypatch.setattr(om, "_cells", recorded)
+    return seen
 
 
 class TestPointSet:
@@ -832,19 +864,65 @@ class TestSeparableMasks:
         # rows after it. A row elimination runs once per one-point prefix
         # with that room, C(16, 1) = 16, and each of the 16 prefixes
         # projects the 17 rows outside it with three dot products each,
-        # 272 projections in all
+        # 272 projections in all. Each prefix {i} sweeps one angular order
+        # per flat {i, y}, y after i other than the last point: 16 - i
+        # orders, C(17, 2) = 136 in all
         ps = generate_general_position(18, 3, 0)
-        calls = walk_counters(monkeypatch)
+        calls = walk_counters(monkeypatch, "_cells")
         assert len(separable_masks(ps)) == shatter_multi(18, HypothesisSpec(3))
         projections = 16 * 17
         assert projections == 272
-        assert calls == {"_side": 3 * projections, "_extend": 16}
+        assert calls == {"_side": 3 * projections, "_extend": 16, "_cells": 136}
 
     def test_two_dimensions_take_the_lifted_rows_as_projections(self, monkeypatch):
+        # one angular order per point but the last, at the flat {y}
         ps = generate_general_position(14, 2, 3)
-        calls = walk_counters(monkeypatch)
+        calls = walk_counters(monkeypatch, "_cells")
         assert len(separable_masks(ps)) == shatter_multi(14, HypothesisSpec(2))
-        assert calls == {"_side": 0, "_extend": 0}
+        assert calls == {"_side": 0, "_extend": 0, "_cells": 13}
+
+    def test_one_angular_order_per_flat(self, monkeypatch):
+        # (12, 3): the prefixes {i}, i <= 9, each project the 11 rows outside
+        # them and sweep the flats {i, y}, i < y <= 10: 10 + 9 + ... + 1 = 55
+        ps = generate_general_position(12, 3, 5)
+        calls = walk_counters(monkeypatch, "_cells")
+        assert len(separable_masks(ps)) == shatter_multi(12, HypothesisSpec(3))
+        assert calls == {"_side": 3 * 10 * 11, "_extend": 10, "_cells": 55}
+
+    @pytest.mark.parametrize(
+        "dim, coords, branch",
+        [
+            # from the origin, 2^53 / (2^53 + 1) and (2^53 + 2) / (2^53 + 3)
+            # round to one float key, and the first of the two comes second
+            (2, [(0, 0), (BIG + 1, -BIG), (BIG + 3, -BIG - 2), (1, 5), (-2, 7)], "collision"),
+            # images with q = 0: (0, 3) seen from the origin, with p < 0, and
+            # (1, -2) seen from (1, 1), with p > 0
+            (2, [(0, 0), (0, 3), (1, 1), (1, -2), (-2, 5)], "q = 0"),
+            # lifts (1, 10^400, 10^200) and (2, 10^400, 10^200): seen from the
+            # origin, their keys 10^400 and 10^400 / 2 leave the float range
+            (2, [(0, 0), (F(1, HUGE), HUGE), (F(2, HUGE), HUGE), (1, 2), (-3, 1)], "overflow"),
+            # the prefix (1, 0, 0) projects an integer point y to
+            # (y2, y3, 1 - y1): (1, 2, 3) to (2, 3, 0), (1, 1, 0) to (1, 0, 0)
+            (3, [(1, 0, 0), (1, 2, 3), (-2, 1, 3), (3, 3, -3), (-1, -3, 0), (2, -1, 1)], "c = 0"),
+            (3, [(1, 0, 0), (1, 1, 0), (-2, 1, 3), (3, 3, -3), (-1, -3, 0), (2, -1, 1)], "b = c = 0"),
+        ],
+        ids=["collision", "q0", "overflow", "c0", "b0-c0"],
+    )
+    def test_every_branch_of_the_angular_order(self, monkeypatch, dim, coords, branch):
+        flats = swept_flats(monkeypatch)
+        ps = PointSet(dim=dim, points=coords)
+        assert separable_masks(ps) == brute_force_masks(ps)
+        assert branch in flats
+
+    @given(wide_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_on_wide_coordinates(self, case):
+        dim, coords = case
+        try:
+            ps = PointSet(dim=dim, points=coords)
+        except ValueError:
+            assume(False)
+        assert separable_masks(ps) == brute_force_masks(ps)
 
 
 def sub_labeling(ps, supp, plus):
