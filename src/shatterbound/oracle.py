@@ -11,12 +11,12 @@ elimination of the lifted rows along each prefix of h - 2 points and hands
 the prefix's 3-D complement to a visitor, which projects the other rows
 onto it once (in two dimensions the prefix is empty, and the lifted rows
 are their own projections). The general-position test decides every
-(h+1)-subset through the prefix from cross products of the later rows'
-projections: correctly rounded float ratios that come out distinct prove
-the directions apart, and exact gcd-reduced directions decide the rest
-(the float filter of exact predicates, Shewchuk 1997). In one dimension
-there is no such prefix, and the position test and the mask oracle work on
-the points directly.
+(h+1)-subset through the prefix from 2-D images of cross products of the
+later rows' projections, and the mask oracle's sweep below sorts such
+images, both by one exact rule: distinct correctly rounded float ratios
+prove the images apart and give their angular order, and exact ratios
+decide the rest (the float filter of exact predicates, Shewchuk 1997). In
+one dimension there is no such prefix, and both work on the points.
 
 The mask oracle, ``separable_masks``, runs no LP, and ``verify_formula``
 counts with it. In general position a separating plane can be moved onto h
@@ -27,8 +27,7 @@ planes through an (h-1)-flat of the points form a pencil: one half-turn
 about the flat passes each other point once, and flips its label there, so
 one angular sort of the other points' 2-D images gives the labelings of
 all the pencil's planes as running XORs (the rotational sweep of an
-arrangement, Edelsbrunner 1987). The sort trusts correctly rounded float
-ratios only when they come out distinct and orders the rest exactly.
+arrangement, Edelsbrunner 1987).
 
 The LP oracle, ``count_dichotomies``, is the reference the test suite holds
 the mask oracle to. Separability is exact feasibility of
@@ -47,7 +46,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 from .rational_lp import Tableau
@@ -126,9 +125,7 @@ def _prefix_forms(lifted, dim, room, visit) -> bool:
     u, v, w spanning the complement of P's rows (u . p = v . p = w . p = 0
     for every row p of P), and the walk calls visit(P, u, v, w), P a tuple
     of indices. Returns False as soon as some P's rows are dependent or a
-    visit returns False, else True. With room <= 0 there are fewer than
-    dim - 1 rows: the walk takes them in order and stops once it has
-    eliminated all of them. Needs dim >= 2."""
+    visit returns False, else True. Needs dim >= 2 and room >= 1."""
     n = len(lifted)
 
     def walk(rows, cols, d, prefix):
@@ -142,8 +139,6 @@ def _prefix_forms(lifted, dim, room, visit) -> bool:
                     b[c] = -row[f]
                 basis.append(b)
             return visit(prefix, *basis)
-        if depth == n:
-            return True
         start = prefix[-1] + 1 if prefix else 0
         for j in range(start, n - room - dim + 3 + depth):  # room for the rest of P
             child = _extend(rows, cols, d, lifted[j])
@@ -154,57 +149,64 @@ def _prefix_forms(lifted, dim, room, visit) -> bool:
     return walk((), (), 1, ())
 
 
-def _rows_apart(proj) -> bool:
-    """Every three of the integer 3-vectors ``proj`` are independent (one
-    vector: it is nonzero), that is, for each row W_j = (a, b, c), its cross
-    products with the rows after it are nonzero and pairwise non-parallel.
-    W_j x W_k begins with p = b z - c y and q = c x - a z, and the row's
-    keys are the floats p / q. CPython's int / int is correctly rounded, so
-    equal ratios give equal floats: when every q is nonzero and the keys
-    are distinct, every cross product is nonzero and no two are parallel
-    (parallel ones have equal ratios), and the row is accepted. The cross
-    products lie in W_j's orthogonal plane, so when c != 0, (p, q) fixes
-    them, and the keys of a row that passes are distinct unless two ratios
-    round to one float. In every other case (c == 0, some q == 0, a ratio
-    past the float range, a collision) the row is decided exactly: each
-    cross product, divided by the gcd of its entries and signed so that its
-    first nonzero entry is positive, goes into a set."""
-    if len(proj) == 1:  # n == dim - 1: no second row to cross with
-        return any(proj[0])
-    for j, (a, b, c) in enumerate(proj):
-        rest = proj[j + 1:]
-        try:
-            if len({(b * z - c * y) / (c * x - a * z) for x, y, z in rest}) == len(rest):
-                continue
-        except (ZeroDivisionError, OverflowError):
-            pass
-        seen = set()
-        for x, y, z in rest:
-            p, q, r = b * z - c * y, c * x - a * z, a * y - b * x
-            k = gcd(p, q, r) if (p, q, r) > (0, 0, 0) else -gcd(p, q, r)
-            if not k:
-                return False
-            seen.add((p // k, q // k, r // k))
-        if len(seen) < len(rest):
-            return False
-    return True
+def _images(wy, rest) -> list[tuple[int, int, int]]:
+    """Each (bit, W_x) of ``rest`` as (p, -q, bit), (p, q) two entries of
+    W_y x W_x, wy = W_y. The cross products are orthogonal to W_y, so the
+    entry dropped, the last where W_y is nonzero, is fixed by the two kept:
+    images are zero or parallel exactly when the cross products are."""
+    a, b, c = wy
+    if c:
+        return [(b * z - c * y, a * z - c * x, bit) for bit, x, y, z in rest]
+    if b:  # W_y = (a, b, 0)
+        return [(b * z, b * x - a * y, bit) for bit, x, y, z in rest]
+    return [(-a * z, -a * y, bit) for bit, x, y, z in rest]  # W_y = (a, 0, 0)
+
+
+def _angles(lines) -> dict | None:
+    """{key: bit} for the images (p, -q, bit) in ``lines``, keys sorting in
+    the angular order of their lines from angle 0 (q = 0), or None when an
+    image is zero or two are parallel. int / int is correctly rounded, so
+    float keys p / -q are monotone in the exact ratios: distinct ones prove
+    the images nonzero and apart. Else the exact keys (q != 0, p / -q)
+    decide: only parallel images tie, and the zero image gets none."""
+    try:
+        keyed = {p / nq: bit for p, nq, bit in lines}
+    except (ZeroDivisionError, OverflowError):
+        keyed = {}
+    if len(keyed) < len(lines):
+        keyed = {(nq != 0, nq and Fraction(p, nq)): bit for p, nq, bit in lines if p or nq}
+    return keyed if len(keyed) == len(lines) else None
 
 
 def _in_general_position(lifted, dim) -> bool:
     """Every min(dim + 1, n) lifted rows are independent (see PointSet)."""
     if dim == 1:  # each rational has one lift (numerator, denominator)
         return len(set(lifted)) == len(lifted)
+    if len(lifted) <= dim:  # the one subset is all n rows: eliminate them in turn
+        form = (), (), 1
+        return all(form := _extend(*form, y) for y in lifted)
 
     def later_rows_apart(prefix, u, v, w):
-        # prefix + {x, y, z} is independent iff the projections X, Y, Z are
-        if not prefix:  # dim == 2: u, v, w are the unit vectors
-            return _rows_apart(lifted)
-        return _rows_apart([
-            (_side(u, y), _side(v, y), _side(w, y)) for y in lifted[prefix[-1] + 1:]
-        ])
+        # prefix + {x, y, z} is independent iff the projections X, Y, Z are:
+        # each row's cross products with the later rows are nonzero and
+        # apart. Distinct float keys prove that (see _angles; with c != 0 they
+        # are the row's _images keys, negated); the exact rule decides the rest.
+        if prefix:
+            proj = [(_side(u, y), _side(v, y), _side(w, y)) for y in lifted[prefix[-1] + 1:]]
+        else:  # dim == 2: u, v, w are the unit vectors
+            proj = lifted
+        for j, (a, b, c) in enumerate(proj):
+            rest = proj[j + 1:]
+            try:
+                if len({(b * z - c * y) / (c * x - a * z) for x, y, z in rest}) == len(rest):
+                    continue
+            except (ZeroDivisionError, OverflowError):
+                pass
+            if _angles(_images((a, b, c), [(0, *x) for x in rest])) is None:
+                return False
+        return True
 
-    # n <= dim: the one subset is all n rows, so fewer than 3 rows follow P
-    return _prefix_forms(lifted, dim, min(3, len(lifted) - dim + 2), later_rows_apart)
+    return _prefix_forms(lifted, dim, 3, later_rows_apart)
 
 
 @dataclass(frozen=True)
@@ -212,19 +214,13 @@ class PointSet:
     """n points with exact rational coordinates in general position.
 
     General position: every subset of min(dim + 1, n) points is affinely
-    independent, verified exactly at construction by one depth-first walk
-    over index subsets (so the points are distinct). A child adds one later
-    row to its parent's fraction-free elimination, so subsets sharing a
-    prefix share its work; at depth dim - 2 the elimination gives three
-    integer vectors spanning the complement of the prefix, each later row is
-    projected onto them once, three dot products per row, and the subsets
-    through the prefix are decided from integer cross products of those
-    projections, by float keys that are trusted only when they prove the
-    directions apart and by exact gcd-reduced directions otherwise (see
-    ``_rows_apart``). In one dimension general position means distinct
-    points, that is distinct lifts. ``seed`` and ``resamples`` record
-    generation provenance when applicable. ``lifted`` holds each point's
-    integer lift, read by the position test and by both oracles.
+    independent, so the points are distinct, which is all it means in one
+    dimension. It is checked exactly at construction: n <= dim points are
+    eliminated in turn, and more go through the subset walk, whose subsets
+    through each prefix are decided from cross products of the later rows'
+    projections by one exact rule (``_angles``). ``seed`` and ``resamples``
+    record generation provenance when applicable. ``lifted`` holds each
+    point's integer lift, read by the position test and by both oracles.
     """
 
     dim: int
@@ -405,36 +401,16 @@ def _cells(wy, rest) -> list[int]:
     """The labelings that the planes through a flat F give the points
     outside F, one per cell of a half-turn about F, from one sort.
 
-    ``wy`` = (a, b, c) is the projection W_y of F's last point y onto the
-    complement of F's other points, and ``rest`` holds every point x
-    outside F as (its bit, W_x). A plane through F has a normal N
-    orthogonal to W_y and labels x by the sign of N . W_x. Keep two entries
-    of each vector orthogonal to W_y, dropping one where W_y is nonzero, so
-    that (p, q) is x's image, taken from W_y x W_x (with c != 0 the p and q
-    of ``_rows_apart``): then N . W_x has the sign of the 2-D cross product
-    of N's image with x's image, up to one sign for every x. As N makes a
-    half-turn, each x flips once, when N passes its image, so the labelings
-    are the running XORs of the bits in the images' angular order, starting
-    from the cell just before angle 0 (the images with q > 0, or q = 0 and
-    p > 0); the last, the complement of the first, is left out. The images
-    are nonzero and pairwise non-parallel, since F + {x, x'} is h + 1 points
-    in general position, so their angles are distinct. The order is that of
-    the correctly rounded float keys p / -q, which are monotone in the
-    exact ratios: distinct keys give it exactly, and a tie, q = 0 (angle 0,
-    first) or a ratio past the float range falls back to Fraction keys."""
-    a, b, c = wy  # each x as (p, -q, its bit)
-    if c:
-        lines = [(b * z - c * y, a * z - c * x, bit) for bit, x, y, z in rest]
-    elif b:  # W_y x W_x without its middle entry
-        lines = [(b * z, b * x - a * y, bit) for bit, x, y, z in rest]
-    else:  # W_y = (a, 0, 0): W_y x W_x without its first entry
-        lines = [(-a * z, -a * y, bit) for bit, x, y, z in rest]
-    try:
-        keyed = {p / nq: bit for p, nq, bit in lines}
-    except (ZeroDivisionError, OverflowError):
-        keyed = {}
-    if len(keyed) < len(lines):  # a tie, q = 0 or a ratio past the float range
-        keyed = {(nq != 0, Fraction(p, nq) if nq else 0): bit for p, nq, bit in lines}
+    ``wy`` = W_y projects F's last point y onto the complement of F's other
+    points, and ``rest`` holds (bit, W_x) for each x outside F. A plane
+    through F has a normal N orthogonal to W_y, and N . W_x has the sign of
+    the 2-D cross product of N's and x's images, up to one sign per x. Over
+    a half-turn of N each x flips once, as N passes its image: the labelings
+    are the running XORs of the bits in angular order from the cell before
+    angle 0 (images with q > 0, or q = 0 < p), less the last, the first's
+    complement. By general position the images are apart."""
+    lines = _images(wy, rest)
+    keyed = _angles(lines)
     cell = sum(bit for p, nq, bit in lines if nq < 0 or not nq and p > 0)
     cells = [cell]
     for key in sorted(keyed)[:-1]:

@@ -210,6 +210,40 @@ def lifts(*coords):
     return tuple(om._lift(tuple(F(x) for x in p)) for p in coords)
 
 
+def cross(u, v):
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+@st.composite
+def image_cases(draw):
+    """An integer 3-vector W_y, in general, with c = 0 or with b = c = 0,
+    and up to seven W_x. In about two draws of three one W_x is a nonzero
+    multiple of another (parallel or antiparallel cross products) or
+    another or 0 plus a multiple of W_y (a repeated or zero cross product).
+    Entries are small or lie past 2^53 or near 10^200 and 10^400, where
+    float ratios round together or overflow."""
+    entry = st.one_of(
+        st.integers(-4, 4), st.sampled_from((BIG, BIG + 1, -BIG - 3, HUGE, -HUGE * HUGE))
+    )
+    vector = st.tuples(entry, entry, entry)
+    a, b, c = draw(vector)
+    wy = draw(st.sampled_from(((a, b, c), (a, b, 0), (a, 0, 0))))
+    xs = draw(st.lists(vector, max_size=6))
+    kind = draw(st.sampled_from(("apart", "multiple", "along")))
+    if kind == "multiple" and xs:
+        t = draw(st.sampled_from((-3, -2, -1, 2, 3)))
+        xs.append(tuple(t * v for v in draw(st.sampled_from(xs))))
+    elif kind == "along":
+        t = draw(st.integers(-2, 2))
+        base = draw(st.sampled_from(xs + [(0, 0, 0)]))
+        xs.append(tuple(v + t * w for v, w in zip(base, wy)))
+    return wy, draw(st.permutations(xs))
+
+
 def first_row_keys(rows):
     """What the position test's float filter meets on the first of three or
     more integer rows: "distinct" keys p / q, a "collision" of two keys,
@@ -474,10 +508,36 @@ class TestPointSet:
         assert om._in_general_position(ps.lifted, 2)
         assert calls == {"_side": 0, "_extend": 0}
 
+    @pytest.mark.parametrize("n, h, seed", [(18, 3, 0), (12, 4, 0), (14, 2, 3)])
+    def test_generated_sets_never_reach_the_exact_rule(self, monkeypatch, n, h, seed):
+        # on integer coordinates in [-1000, 1000] the float keys decide
+        # every row: the float filter stays the whole cost of the test
+        ps = generate_general_position(n, h, seed)
+        calls = walk_counters(monkeypatch, "_images", "_angles")
+        assert om._in_general_position(ps.lifted, h)
+        assert calls["_images"] == calls["_angles"] == 0
+
+    @pytest.mark.parametrize(
+        "coords, accepted",
+        [
+            ([(0, 0, 0, 0), (1, 2, 3, 4), (2, 4, 6, 9)], True),
+            ([(0, 0, 0, 0), (1, 2, 3, 4), (2, 4, 6, 8)], False),
+        ],
+    )
+    def test_at_most_dim_points_are_one_elimination_chain(
+        self, monkeypatch, coords, accepted
+    ):
+        # n <= dim: the one subset is all n rows, each extending the form of
+        # the rows before it; no prefix is walked and nothing is projected
+        calls = walk_counters(monkeypatch, "_angles")
+        assert om._in_general_position(lifts(*coords), 4) == accepted
+        assert calls == {"_side": 0, "_extend": 3, "_angles": 0}
+
 
 class TestFloatKeys:
     """The position test keys each later row's cross products by the float
-    p / q and falls back to exact directions when the keys cannot decide.
+    p / q and falls back to the exact rule of _angles, which the mask
+    oracle's sweep shares, when the keys cannot decide.
     At dim 2 the prefix is empty and the lifted rows are the projections,
     so integer rows given to _in_general_position(rows, 2) reach the filter
     as they are; the first row (0, 0, 1), the lift of the origin, keys a
@@ -524,21 +584,57 @@ class TestFloatKeys:
     )
     def test_a_projection_with_c_zero(self, monkeypatch, coords, accepted):
         # the prefix (1, 0, 0) projects an integer point y to
-        # (y2, y3, 1 - y1), so (1, 1, 0) projects to (1, 0, 0)
+        # (y2, y3, 1 - y1), so (1, 1, 0) projects to (1, 0, 0), the first
+        # later row, whose float keys 0 / -z all tie: the exact rule decides it
         seen = []
-        rows_apart = om._rows_apart
+        images = om._images
 
-        def recorded(proj):
-            seen.append(proj)
-            return rows_apart(proj)
+        def recorded(wy, rest):
+            seen.append(wy)
+            return images(wy, rest)
 
-        monkeypatch.setattr(om, "_rows_apart", recorded)
+        monkeypatch.setattr(om, "_images", recorded)
         rows = [[F(x) for x in p] + [F(1)] for p in coords]
         assert accepted == all(
             gram_rank(subset) == 4 for subset in itertools.combinations(rows, 4)
         )
         assert om._in_general_position(lifts(*coords), 3) == accepted
-        assert seen[0][0] == (1, 0, 0)
+        assert seen[0] == (1, 0, 0)
+
+    @given(image_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_the_exact_rule_against_brute_force(self, case):
+        # _angles(_images(W_y, rest)) is None exactly when some W_y x W_x is
+        # zero or two are parallel; otherwise it keys every image, and its
+        # sorted keys give the images in strict angular order from angle 0,
+        # judged by 2-D cross products of the images turned into the
+        # half-plane q > 0 or q = 0 < p. Every 2-D cross product also has the
+        # sign of the 3-D triple product W_y . (C_i x C_j), up to one sign
+        # per W_y
+        wy, xs = case
+        crosses = [cross(wy, x) for x in xs]
+        degenerate = any(c == (0, 0, 0) for c in crosses) or any(
+            cross(c, d) == (0, 0, 0) for c, d in itertools.combinations(crosses, 2)
+        )
+        lines = om._images(wy, [(1 << i, *x) for i, x in enumerate(xs)])
+        keyed = om._angles(lines)
+        assert (keyed is None) == degenerate
+        if keyed is None:
+            return
+        assert sorted(keyed.values()) == [1 << i for i in range(len(xs))]
+        images = [(p, -nq) for p, nq, _ in lines]
+        upper = [
+            (p, q) if q > 0 or q == 0 and p > 0 else (-p, -q)
+            for p, q in (images[keyed[k].bit_length() - 1] for k in sorted(keyed))
+        ]
+        assert all(p * s - q * r > 0 for (p, q), (r, s) in zip(upper, upper[1:]))
+        orientation = {
+            (p * s - q * r > 0) == (sum(map(math.prod, zip(wy, cross(ci, cj)))) > 0)
+            for ((p, q), ci), ((r, s), cj) in itertools.combinations(
+                zip(images, crosses), 2
+            )
+        }
+        assert len(orientation) <= 1
 
     @given(wide_sets())
     @settings(max_examples=300, deadline=None)
