@@ -27,7 +27,8 @@ planes through an (h-1)-flat of the points form a pencil: one half-turn
 about the flat passes each other point once, and flips its label there, so
 one angular sort of the other points' 2-D images gives the labelings of
 all the pencil's planes as running XORs (the rotational sweep of an
-arrangement, Edelsbrunner 1987).
+arrangement, Edelsbrunner 1987). Only a cover of the h-subsets is swept:
+for h >= 3, the flats whose last two indices lie an even distance apart.
 
 The LP oracle, ``count_dichotomies``, is the reference the test suite holds
 the mask oracle to. Separability is exact feasibility of
@@ -438,12 +439,15 @@ def separable_masks(ps: PointSet) -> frozenset[int]:
     P, whose sign the negation makes irrelevant. So the planes through S
     are those through the (h-1)-flat F = P + {y} and one more point, and
     one half-turn about F passes all of them: ``_cells`` reads their
-    labelings off one angular sort of the other points per flat, with y
-    every point after P's last index but the last. Each labeling goes in
-    with every labeling of F, and the negations are added once at the end.
-    In one dimension the planes are thresholds, and the labelings are the
-    2n that label the points below some cut -1 and the rest +1, or the
-    other way round.
+    labelings off one angular sort of the other points per flat. One flat
+    inside each S suffices: at h = 2 y is every point but the last, and at
+    h >= 3 every point an even distance after P's last index. Of S's three
+    largest indices two have equal parity, and dropping the third leaves
+    such an F, whose P ends at least two rows before the last, the walk's
+    room. Each labeling goes in with every labeling of F, and the negations
+    are added once at the end. In one dimension the planes are thresholds,
+    and the labelings are the 2n that label the points below some cut -1
+    and the rest +1, or the other way round.
     """
     n, h = len(ps), ps.dim
     _require_enumerable(n)
@@ -473,8 +477,10 @@ def separable_masks(ps: PointSet) -> frozenset[int]:
         else:  # h == 2: u, v, w are the unit vectors
             proj = [(1 << i, *z) for i, z in enumerate(lifted)]
         found = set()  # labelings of the points outside P
-        # F = P + {y} for y past P's last index, other than the last point
-        for j in range(len(proj) - n + held.bit_length(), len(proj) - 1):
+        # F = P + {y}: y an even distance past P's last index, or any y but
+        # the last point when h == 2 (proj[start] is the point after P)
+        start = len(proj) - n + held.bit_length()
+        for j in range(start + 1, len(proj), 2) if prefix else range(len(proj) - 1):
             ybit, *wy = proj[j]
             cells = _cells(wy, proj[:j] + proj[j + 1:])
             found.update(cells, [c | ybit for c in cells])

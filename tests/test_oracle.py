@@ -289,6 +289,21 @@ def swept_flats(monkeypatch):
     return seen
 
 
+def swept_rests(monkeypatch):
+    """For every flat that the mask oracle sweeps, live through
+    shatterbound.oracle, the mask of the points in _cells' ``rest``: the
+    flat is the other points."""
+    rests = []
+    cells = om._cells
+
+    def recorded(wy, rest):
+        rests.append(sum(bit for bit, *_ in rest))
+        return cells(wy, rest)
+
+    monkeypatch.setattr(om, "_cells", recorded)
+    return rests
+
+
 class TestPointSet:
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
@@ -961,14 +976,14 @@ class TestSeparableMasks:
         # with that room, C(16, 1) = 16, and each of the 16 prefixes
         # projects the 17 rows outside it with three dot products each,
         # 272 projections in all. Each prefix {i} sweeps one angular order
-        # per flat {i, y}, y after i other than the last point: 16 - i
-        # orders, C(17, 2) = 136 in all
+        # per flat {i, y}, y an even distance after i: the pairs of equal
+        # parity among 0..17, 2 * C(9, 2) = 72 in all
         ps = generate_general_position(18, 3, 0)
         calls = walk_counters(monkeypatch, "_cells")
         assert len(separable_masks(ps)) == shatter_multi(18, HypothesisSpec(3))
         projections = 16 * 17
         assert projections == 272
-        assert calls == {"_side": 3 * projections, "_extend": 16, "_cells": 136}
+        assert calls == {"_side": 3 * projections, "_extend": 16, "_cells": 72}
 
     def test_two_dimensions_take_the_lifted_rows_as_projections(self, monkeypatch):
         # one angular order per point but the last, at the flat {y}
@@ -979,11 +994,57 @@ class TestSeparableMasks:
 
     def test_one_angular_order_per_flat(self, monkeypatch):
         # (12, 3): the prefixes {i}, i <= 9, each project the 11 rows outside
-        # them and sweep the flats {i, y}, i < y <= 10: 10 + 9 + ... + 1 = 55
+        # them and sweep the flats {i, y}, y - i = 2, 4, ...: the pairs of
+        # equal parity among 0..11, 2 * C(6, 2) = 30
         ps = generate_general_position(12, 3, 5)
         calls = walk_counters(monkeypatch, "_cells")
         assert len(separable_masks(ps)) == shatter_multi(12, HypothesisSpec(3))
-        assert calls == {"_side": 3 * 10 * 11, "_extend": 10, "_cells": 55}
+        assert calls == {"_side": 3 * 10 * 11, "_extend": 10, "_cells": 30}
+
+    def test_one_angular_order_per_flat_in_four_dimensions(self, monkeypatch):
+        # (12, 4): the prefixes {i, k}, k <= 9, are C(10, 2) = 45, reached by
+        # 9 + 45 eliminations, and each projects the 10 rows outside it.
+        # {i, k} sweeps the flats {i, k, y}, y - k = 2, 4, ... up to 11:
+        # sum_k k * floor((11 - k) / 2) = 5 + 8 + 12 + 12 + 15 + 12 + 14 + 8
+        # + 9 = 95
+        ps = generate_general_position(12, 4, 0)
+        calls = walk_counters(monkeypatch, "_cells")
+        assert len(separable_masks(ps)) == shatter_multi(12, HypothesisSpec(4))
+        assert calls == {"_side": 3 * 45 * 10, "_extend": 9 + 45, "_cells": 95}
+
+    def test_one_angular_order_per_flat_in_five_dimensions(self, monkeypatch):
+        # the dim-5 moment curve at n = 12: the prefixes {a, b, c}, c <= 9,
+        # are C(10, 3) = 120, reached by 8 + 36 + 120 eliminations, and each
+        # projects the 9 rows outside it. The flats {a, b, c, y}, y - c even:
+        # sum_c C(c, 2) * floor((11 - c) / 2) = 4 + 12 + 18 + 30 + 30 + 42
+        # + 28 + 36 = 200
+        ps = PointSet(dim=5, points=moment_curve(12, 5))
+        calls = walk_counters(monkeypatch, "_cells")
+        assert len(separable_masks(ps)) == shatter_multi(12, HypothesisSpec(5))
+        assert calls == {"_side": 3 * 120 * 9, "_extend": 8 + 36 + 120, "_cells": 200}
+
+    @pytest.mark.parametrize(
+        "dim, n",
+        [(2, n) for n in range(4, 21)]
+        + [(3, n) for n in range(5, 21)]
+        + [(4, n) for n in range(6, 21)]
+        + [(5, n) for n in range(7, 15)],
+    )
+    def test_every_subset_of_h_points_contains_a_swept_flat(self, monkeypatch, dim, n):
+        # the planes through h points are read from the flats swept, so each
+        # h-subset must contain one; generated sets at h = 2..4 and the
+        # moment curve at h = 5
+        rests = swept_rests(monkeypatch)
+        if dim == 5:
+            ps = PointSet(dim=5, points=moment_curve(n, 5))
+        else:
+            ps = generate_general_position(n, dim, n)
+        separable_masks(ps)
+        swept = {(1 << n) - 1 ^ rest for rest in rests}
+        assert all(flat.bit_count() == dim - 1 for flat in swept)
+        for subset in itertools.combinations(range(n), dim):
+            s = sum(1 << i for i in subset)
+            assert any(s ^ 1 << i in swept for i in subset), subset
 
     @pytest.mark.parametrize(
         "dim, coords, branch",
@@ -998,9 +1059,10 @@ class TestSeparableMasks:
             # origin, their keys 10^400 and 10^400 / 2 leave the float range
             (2, [(0, 0), (F(1, HUGE), HUGE), (F(2, HUGE), HUGE), (1, 2), (-3, 1)], "overflow"),
             # the prefix (1, 0, 0) projects an integer point y to
-            # (y2, y3, 1 - y1): (1, 2, 3) to (2, 3, 0), (1, 1, 0) to (1, 0, 0)
-            (3, [(1, 0, 0), (1, 2, 3), (-2, 1, 3), (3, 3, -3), (-1, -3, 0), (2, -1, 1)], "c = 0"),
-            (3, [(1, 0, 0), (1, 1, 0), (-2, 1, 3), (3, 3, -3), (-1, -3, 0), (2, -1, 1)], "b = c = 0"),
+            # (y2, y3, 1 - y1): (1, 2, 3) to (2, 3, 0), (1, 1, 0) to (1, 0, 0),
+            # each as the last point of the swept flat {0, 2}
+            (3, [(1, 0, 0), (-2, 1, 3), (1, 2, 3), (3, 3, -3), (-1, -3, 0), (2, -1, 1)], "c = 0"),
+            (3, [(1, 0, 0), (-2, 1, 3), (1, 1, 0), (3, 3, -3), (-1, -3, 0), (2, -1, 1)], "b = c = 0"),
         ],
         ids=["collision", "q0", "overflow", "c0", "b0-c0"],
     )
