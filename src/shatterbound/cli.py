@@ -2,8 +2,10 @@
 
 Every subcommand emits one self-describing record; --format json prints it
 as JSON whose parse reproduces the record, --format plain prints the same
-values as key: value text. Identical invocations produce byte-identical
-output: no timestamps, no hidden entropy, all randomness behind --seed.
+values as key: value text. main builds each record from the options its
+subcommand parsed; a handler returns only result, flags and provenance.
+Identical invocations produce byte-identical output: no timestamps, no
+hidden entropy, all randomness behind --seed.
 
 Exit codes: 0 success/PASS, 1 usage error, 2 verification FAIL (the
 record is flagged mismatch), 3 numeric non-convergence.
@@ -67,24 +69,27 @@ class OutputRecord:
         return cls(**json.loads(text))
 
 
-def sci_from_log(log_value: float, digits: int = 6) -> str:
-    """Scientific-notation string for exp(log_value), no matter how extreme."""
+def sci_from_log(log_value: float) -> str:
+    """Six-significant-digit scientific notation for exp(log_value), no
+    matter how extreme."""
     if log_value == float("-inf"):
         return "0"
     l10 = log_value / _LN10
     exp10 = math.floor(l10)
-    mant = round(10.0 ** (l10 - exp10), digits - 1)
+    mant = round(10.0 ** (l10 - exp10), 5)
     if mant >= 10.0:
         mant /= 10.0
         exp10 += 1
-    return f"{mant:.{digits - 1}f}e{exp10:+03d}"
+    return f"{mant:.5f}e{exp10:+03d}"
 
 
 def _int_list(text: str) -> list[int]:
+    # argparse reports this error with the option's name
     try:
         return [int(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from exc
 
 
 def log_spaced_grid(n_start: int, n_end: int, n_points: int) -> list[int]:
@@ -104,7 +109,7 @@ def _require(cond: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def cmd_coef(args) -> OutputRecord:
+def cmd_coef(args) -> dict:
     spec = HypothesisSpec(args.h, args.p)
     log = shatter_log(args.n, spec).log_value
     # str() rejects an int of more than `limit` digits, and N has more once
@@ -116,39 +121,31 @@ def cmd_coef(args) -> OutputRecord:
         raise UsageError(f"the count has about {log / _LN10:.3g} digits, past the "
                          f"limit ({limit} digits) for integer string conversion; "
                          "PYTHONINTMAXSTRDIGITS raises it")
-    return OutputRecord(
-        command="coef",
-        inputs={"n": args.n, "h": spec.h, "p": spec.p},
+    return dict(
         result={"count": shatter_multi(args.n, spec), "log": log},
         flags=["saturated"] if is_saturated(args.n, spec.h) else [],
         provenance={"path": "exact"},
     )
 
 
-def cmd_bound(args) -> OutputRecord:
+def cmd_bound(args) -> dict:
     spec = HypothesisSpec(args.h, args.p)
     delta_log = delta_bound(args.n, args.eps, spec).log_value
     flags = ["vacuous"] if delta_log > 0.0 else []
     if args.clamp and delta_log > 0.0:
         delta_log = 0.0
         flags.append("clamped")
-    return OutputRecord(
-        command="bound",
-        inputs={"n": args.n, "eps": args.eps, "h": spec.h, "p": spec.p,
-                "clamp": args.clamp},
+    return dict(
         result={"delta": sci_from_log(delta_log), "delta_log": delta_log},
         flags=flags,
         provenance={"path": "log"},
     )
 
 
-def cmd_solve_n(args) -> OutputRecord:
+def cmd_solve_n(args) -> dict:
     spec = HypothesisSpec(args.h, args.p)
     n_star, trace = solve_min_n_trace(args.delta, args.eps, spec, ceiling=args.ceiling)
-    return OutputRecord(
-        command="solve-n",
-        inputs={"delta": args.delta, "eps": args.eps, "h": spec.h, "p": spec.p,
-                "ceiling": args.ceiling},
+    return dict(
         result={
             "n": n_star,
             "delta_log_at_n": trace.delta_log_at_n,
@@ -164,31 +161,28 @@ def cmd_solve_n(args) -> OutputRecord:
     )
 
 
-def cmd_solve_eps(args) -> OutputRecord:
+def cmd_solve_eps(args) -> dict:
     spec = HypothesisSpec(args.h, args.p)
     eps = solve_max_eps(args.n, args.delta, spec)
     flags = ["vacuous"] if eps >= 1.0 else []
     if is_saturated(args.n, spec.h):
         flags.append("saturated")
-    return OutputRecord(
-        command="solve-eps",
-        inputs={"n": args.n, "delta": args.delta, "h": spec.h, "p": spec.p},
+    return dict(
         result={"epsilon": eps, "delta_log_target": math.log(args.delta)},
         flags=flags,
         provenance={"path": "log"},
     )
 
 
-def cmd_curve(args) -> OutputRecord:
+def cmd_curve(args) -> dict:
     # not a repeat of emit_epsilon_curve's n >= 2 check: log_spaced_grid runs
     # first and fails on n_start <= 0 (division by zero, negative ratio)
     _require(args.n_start >= 2, f"--n-start must be >= 2, got {args.n_start}")
     _require(args.n_end > args.n_start, "--n-end must exceed --n-start")
     _require(args.n_points >= 2, f"--n-points must be >= 2, got {args.n_points}")
-    h_list = _int_list(args.h_list)
-    p_list = _int_list(args.p_list)
-    _require(bool(h_list) and bool(p_list), "--h-list and --p-list must be nonempty")
-    specs = [HypothesisSpec(h=h, p=p) for h in h_list for p in p_list]
+    _require(bool(args.h_list) and bool(args.p_list),
+             "--h-list and --p-list must be nonempty")
+    specs = [HypothesisSpec(h=h, p=p) for h in args.h_list for p in args.p_list]
     grid = log_spaced_grid(args.n_start, args.n_end, args.n_points)
     rows = emit_epsilon_curve(grid, specs)
     csv_lines = ["n,h,p,epsilon"]
@@ -201,16 +195,7 @@ def cmd_curve(args) -> OutputRecord:
         raise UsageError(f"cannot write {args.out}: {exc}") from exc
     if args.format == "csv":
         sys.stdout.write(csv_text)
-    return OutputRecord(
-        command="curve",
-        inputs={
-            "n_start": args.n_start,
-            "n_end": args.n_end,
-            "n_points": args.n_points,
-            "h_list": h_list,
-            "p_list": p_list,
-            "out": args.out,
-        },
+    return dict(
         result={"rows": len(rows), "families": len(specs),
                 "grid_points": len(grid), "out": args.out},
         flags=[],
@@ -218,12 +203,9 @@ def cmd_curve(args) -> OutputRecord:
     )
 
 
-def cmd_verify(args) -> OutputRecord:
+def cmd_verify(args) -> dict:
     rep = verify_formula(args.n, args.h, args.trials, args.seed, workers=args.workers)
-    return OutputRecord(
-        command="verify",
-        inputs={"n": args.n, "h": args.h, "trials": args.trials,
-                "seed": args.seed, "workers": args.workers},
+    return dict(
         result={
             "formula_count": rep.formula_count,
             "trials": [
@@ -330,8 +312,8 @@ def build_parser() -> _Parser:
     p.add_argument("--n-start", type=int, required=True)
     p.add_argument("--n-end", type=int, required=True)
     p.add_argument("--n-points", type=int, required=True)
-    p.add_argument("--h-list", type=str, required=True)
-    p.add_argument("--p-list", type=str, required=True)
+    p.add_argument("--h-list", type=_int_list, required=True)
+    p.add_argument("--p-list", type=_int_list, required=True)
     p.add_argument("--out", type=str, required=True)
     add_format(p, csv_ok=True)
 
@@ -353,7 +335,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        record = args.run(args)
+        # argparse sets the options in declaration order, then `run`
+        inputs = {k: v for k, v in vars(args).items()
+                  if k not in ("command", "format", "run")}
+        record = OutputRecord(args.command, inputs, **args.run(args))
         # a count past CPython's int-to-str digit limit is a ValueError here
         text = _render(record, args.format)
     except NoBracketError as exc:

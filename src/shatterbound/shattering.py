@@ -140,8 +140,10 @@ def _hyperplane_series_core_log(n: int, h: int) -> float:
     if h < 1:
         raise ValueError(f"closed-form bound needs h >= 1, got {h}")
     ln_ratio = 1.0 + math.log(n - 1)  # ln(e(n-1))
-    # ln(e^h (n-1)^h - 1) and ln(e(n-1) - 1), both arguments > 1 here
-    ln_numer = h * ln_ratio + math.log1p(-math.exp(-h * ln_ratio))
+    # ln(e^h (n-1)^h - 1) and ln(e(n-1) - 1), both arguments > 1 here; t is
+    # inf, not an OverflowError, for an h past the float range
+    t = _float(h) * ln_ratio
+    ln_numer = t + math.log1p(-math.exp(-t))
     ln_denom = ln_ratio + math.log1p(-math.exp(-ln_ratio))
     return LN2 + ln_ratio + ln_numer - ln_denom
 

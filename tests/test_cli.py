@@ -267,6 +267,18 @@ class TestCurve:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("h_list, p_list, message", [
+        ("1,x", "1", "argument --h-list: expected comma-separated integers, got '1,x'"),
+        ("1", "", "--h-list and --p-list must be nonempty"),
+    ], ids=["malformed", "empty"])
+    def test_bad_list_exit_1(self, capsys, tmp_path, h_list, p_list, message):
+        code, out, err = run_cli(
+            capsys, "curve", "--n-start", "10", "--n-end", "100", "--n-points", "3",
+            "--h-list", h_list, "--p-list", p_list, "--out", str(tmp_path / "c.csv"),
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_grid_helper_dedups_and_stays_in_range(self):
         grid = log_spaced_grid(10, 20, 40)
         assert grid[0] == 10 and grid[-1] == 20

@@ -33,6 +33,29 @@ def test_every_export_resolves(name):
     assert missing == [], f"{name}.__all__ names {missing}"
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    # no linter runs in the test suite, so this is what catches a dead import:
+    # each name a top-level import binds is read in the module or exported
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    unused = [
+        f"{alias.asname or alias.name.split('.')[0]} (line {node.lineno})"
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+        for alias in node.names
+        if (alias.asname or alias.name.split(".")[0]) not in read | exported
+    ]
+    assert unused == [], f"{path.name} never uses {unused}"
+
+
 @pytest.mark.parametrize(
     "path",
     [p for p in sorted(SRC.glob("*.py")) if p.name != "rational_lp.py"],

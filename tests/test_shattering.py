@@ -126,6 +126,17 @@ class TestFloatFold:
         with pytest.raises(ValueError, match=rf"not a finite float at {at}, p={p}$"):
             call(HypothesisSpec(3, p))
 
+    @pytest.mark.parametrize("call", [
+        lambda spec: psi(100, spec, 0.1),
+        lambda spec: shatter_upper_closed(100, spec),
+    ], ids=["psi", "shatter_upper_closed"])
+    def test_closed_form_with_h_past_the_float_range_raises(self, call):
+        # 10**400 * ln(e(n-1)) would raise OverflowError converting h; the
+        # closed form takes the product as inf and reports it like a huge p
+        h = 10**400
+        with pytest.raises(ValueError, match=rf"not a finite float at n=100, h={h}, p=1$"):
+            call(HypothesisSpec(h, 1))
+
     @pytest.mark.parametrize("n,h", [(1, 3), (2, 3), (100, 0)])
     def test_huge_p_with_unit_binomials_stays_exact(self, n, h):
         # every C(n-1, i) in the sum is 1, so the count is 2(min(h, n-1) + 1)
