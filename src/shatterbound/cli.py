@@ -145,17 +145,12 @@ def cmd_bound(args) -> dict:
 def cmd_solve_n(args) -> dict:
     spec = HypothesisSpec(args.h, args.p)
     n_star, trace = solve_min_n_trace(args.delta, args.eps, spec, ceiling=args.ceiling)
+    # the BracketTrace as returned (json writes its tuples as lists), with
+    # the log-bound at n* moved up next to n
+    trace = dict(vars(trace))
     return dict(
-        result={
-            "n": n_star,
-            "delta_log_at_n": trace.delta_log_at_n,
-            "trace": {
-                "expansion": [[n, v] for n, v in trace.expansion],
-                "bracket": list(trace.bracket),
-                "bisection_steps": trace.bisection_steps,
-                "tail_probes": [[n, v] for n, v in trace.tail_probes],
-            },
-        },
+        result={"n": n_star, "delta_log_at_n": trace.pop("delta_log_at_n"),
+                "trace": trace},
         flags=["saturated"] if is_saturated(n_star, spec.h) else [],
         provenance={"path": "log"},
     )
@@ -208,10 +203,7 @@ def cmd_verify(args) -> dict:
     return dict(
         result={
             "formula_count": rep.formula_count,
-            "trials": [
-                {"seed": t.seed, "resamples": t.resamples, "count": t.count}
-                for t in rep.results
-            ],
+            "trials": [vars(t) for t in rep.results],
             "passed": rep.passed,
         },
         flags=[] if rep.passed else ["mismatch"],
@@ -226,10 +218,7 @@ def _plain_lines(record: OutputRecord) -> list[str]:
     res = record.result
     if record.command == "verify":
         for i, t in enumerate(res["trials"], start=1):
-            lines.append(
-                f"trial {i}: seed={t['seed']} resamples={t['resamples']} "
-                f"count={t['count']}"
-            )
+            lines.append(f"trial {i}: " + " ".join(f"{k}={v}" for k, v in t.items()))
         lines.append(f"formula: {res['formula_count']}")
         lines.append("result: PASS" if res["passed"] else "result: FAIL")
     else:
@@ -238,14 +227,8 @@ def _plain_lines(record: OutputRecord) -> list[str]:
         tr = res["trace"]
         lines.append(f"bracket: {tr['bracket'][0]}..{tr['bracket'][1]}")
         lines.append(f"bisection_steps: {tr['bisection_steps']}")
-        lines.append(
-            "expansion: "
-            + " ".join(f"{n}:{v:.6g}" for n, v in tr["expansion"])
-        )
-        lines.append(
-            "tail_probes: "
-            + " ".join(f"{n}:{v:.6g}" for n, v in tr["tail_probes"])
-        )
+        for key in ("expansion", "tail_probes"):
+            lines.append(f"{key}: " + " ".join(f"{n}:{v:.6g}" for n, v in tr[key]))
     if record.flags:
         lines.append("flags: " + ",".join(record.flags))
     prov = record.provenance

@@ -156,13 +156,7 @@ def shatter_upper_closed(n: int, spec: HypothesisSpec) -> LogNum:
     in closed form. ValueError when the log leaves the float range (a huge p).
     """
     bracket = _log_add(_hyperplane_series_core_log(n, spec.h), LN2)
-    try:
-        ln = spec.p * bracket
-    except OverflowError:  # an int p past the float range
-        ln = math.inf
-    if not math.isfinite(ln):
-        raise _not_finite(n, spec.h, spec.p)
-    return LogNum(ln)
+    return LogNum(_finite(_float(spec.p) * bracket, n, spec.h, spec.p, "log count"))
 
 
 def binom_lower_bound(m: int, k: int) -> LogNum:
@@ -219,20 +213,21 @@ def psi(n: int, spec: HypothesisSpec, eps: float) -> float:
 
     psi = p * ln(2e(n-1)(e^h (n-1)^h - 1)/(e(n-1) - 1)) - n*eps^2/4.
     Negative psi means the exponential envelope shrinks to zero. ValueError
-    when it leaves the float range (a huge p).
+    when it leaves the float range (a huge p, h or n).
     """
     _require_eps(eps)
     core = _hyperplane_series_core_log(n, spec.h)
-    return _finite(_float(spec.p) * core - n * eps * eps / 4.0, n, spec.h, spec.p, "psi")
+    value = _float(spec.p) * core - _float(n) * eps * eps / 4.0
+    return _finite(value, n, spec.h, spec.p, "psi")
 
 
 def asymptotic_condition(n: int, spec: HypothesisSpec, eps: float) -> float:
     """p*ln(2) + h*p + h*p*ln(n) - n*eps^2/4; negative once learning is
-    ensured. ValueError when it leaves the float range (a huge p)."""
+    ensured. ValueError when it leaves the float range (a huge p or n)."""
     if n < 2:
         raise ValueError(f"asymptotic condition needs n >= 2, got {n}")
     _require_eps(eps)
     h, p = spec.h, spec.p
     hp = _float(h * p)
-    value = _float(p) * LN2 + hp + hp * math.log(n) - n * eps * eps / 4.0
+    value = _float(p) * LN2 + hp + hp * math.log(n) - _float(n) * eps * eps / 4.0
     return _finite(value, n, h, p, "asymptotic condition")

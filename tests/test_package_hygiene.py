@@ -1,5 +1,7 @@
 import ast
+import builtins
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 import shatterbound
 
 SRC = Path(shatterbound.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = sorted(
     p.stem for p in SRC.glob("*.py") if p.stem not in ("__init__", "__main__")
 )
@@ -54,6 +57,47 @@ def test_every_import_is_used(path):
         if (alias.asname or alias.name.split(".")[0]) not in read | exported
     ]
     assert unused == [], f"{path.name} never uses {unused}"
+
+
+def _readme_code_names() -> list[str]:
+    """The backticked names in the README's prose that look like code: an
+    identifier longer than one character that is dotted, contains an
+    underscore or mixes case (`shattering._ln_count`, `delta_bound`,
+    `LogNum`), not a formula such as `n` or `C(n, k)`."""
+    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.S)
+    ident = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+    return sorted({
+        t for t in re.findall(r"`([^`\n]+)`", prose)
+        if len(t) > 1 and ident.fullmatch(t)
+        and ("." in t or "_" in t or t not in (t.lower(), t.upper()))
+    })
+
+
+def test_readme_names_resolve():
+    # the README names functions and types of the package; a rename or a
+    # deletion must take the README along, so each name is looked up
+    modules = [importlib.import_module(f"shatterbound.{m}") for m in MODULES]
+    classes = [v for m in modules for v in vars(m).values() if isinstance(v, type)]
+    scopes = [builtins, shatterbound, *modules, *classes]
+
+    def has(obj, attr):  # a dataclass field without a default is no attribute
+        return hasattr(obj, attr) or attr in getattr(obj, "__annotations__", {})
+
+    def resolves(name):
+        for scope in scopes:
+            obj = scope
+            for part in name.split("."):
+                if not has(obj, part):
+                    break
+                obj = getattr(obj, part, None)
+            else:
+                return True
+        return False
+
+    names = _readme_code_names()
+    assert names, "no code names found in README.md"
+    unresolved = [name for name in names if not resolves(name)]
+    assert unresolved == [], f"README.md names {unresolved}"
 
 
 @pytest.mark.parametrize(
@@ -112,10 +156,7 @@ def test_import_loads_no_process_pool():
 def test_readme_library_block_runs():
     # the README's API example names public functions, so it must keep
     # running when one goes, and give the values its comments state
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
-        encoding="utf-8"
-    )
-    section = readme.split("\n## Library\n", 1)[1]
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     block = section.split("```python\n", 1)[1].split("```", 1)[0]
     scope: dict = {}
     exec(block, scope)

@@ -137,6 +137,15 @@ class TestFloatFold:
         with pytest.raises(ValueError, match=rf"not a finite float at n=100, h={h}, p=1$"):
             call(HypothesisSpec(h, 1))
 
+    @pytest.mark.parametrize("call", [psi, asymptotic_condition],
+                             ids=["psi", "asymptotic_condition"])
+    def test_margin_with_n_past_the_float_range_raises(self, call):
+        # n * eps^2 / 4 would raise OverflowError converting n; the margin
+        # takes the product as inf and reports it like a huge p
+        n = 10**400
+        with pytest.raises(ValueError, match=rf"not a finite float at n={n}, h=3, p=1$"):
+            call(n, HypothesisSpec(3, 1), 0.1)
+
     @pytest.mark.parametrize("n,h", [(1, 3), (2, 3), (100, 0)])
     def test_huge_p_with_unit_binomials_stays_exact(self, n, h):
         # every C(n-1, i) in the sum is 1, so the count is 2(min(h, n-1) + 1)
