@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .logarithmetic import LN2, LogNum
-from .shattering import HypothesisSpec, _ln_count, _require_eps, epsilon_curve
+from .shattering import (HypothesisSpec, _ln_count, _not_finite, _require_eps,
+                         epsilon_curve)
 
 __all__ = [
     "BracketTrace",
@@ -64,8 +65,12 @@ class BracketTrace:
 
 
 def _log_bound(n: int, eps: float, h: int, p: int) -> float:
-    """ln delta(n) on plain floats, eps already checked: what the solver probes."""
-    return LN2 + _ln_count(n, h, p) - n * eps * eps / 4.0
+    """ln delta(n) on plain floats, eps already checked: what the solver
+    probes. ValueError naming (n, h, p) when n is past the float range."""
+    try:
+        return LN2 + _ln_count(n, h, p) - n * eps * eps / 4.0
+    except OverflowError:  # n * eps converts n to a float
+        raise _not_finite(n, h, p, "log bound") from None
 
 
 def delta_bound(n: int, eps: float, spec: HypothesisSpec) -> LogNum:
@@ -164,12 +169,16 @@ def solve_max_eps(n: int, delta: float, spec: HypothesisSpec) -> float:
 
         eps = sqrt( (4/n) * (ln(2*N(n)) - ln(delta)) )
 
-    Returned even when >= 1 (vacuous); callers flag that case.
+    Returned even when >= 1 (vacuous); callers flag that case. ValueError
+    naming (n, h, p) when n is past the float range.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     log_2n = LN2 + _ln_count(n, spec.h, spec.p)
-    return math.sqrt((4.0 / n) * (log_2n - math.log(delta)))
+    try:
+        return math.sqrt((4.0 / n) * (log_2n - math.log(delta)))
+    except OverflowError:  # 4.0 / n converts n to a float
+        raise _not_finite(n, spec.h, spec.p, "sample size n") from None
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,11 @@ prove the images apart and give their angular order, and exact ratios
 decide the rest (the float filter of exact predicates, Shewchuk 1997). In
 one dimension there is no such prefix, and both work on the points.
 
-The mask oracle, ``separable_masks``, runs no LP, and ``verify_formula``
-counts with it. In general position a separating plane can be moved onto h
+The mask oracle, ``separable_masks``, runs no LP. ``verify_formula`` runs
+its sweep on each draw directly: the sweep meets every dependency that the
+position test looks for, so it decides general position as it counts, and
+no PointSet is built. ``separable_masks`` raises on a set that the sweep
+finds dependent. In general position a separating plane can be moved onto h
 of the points without changing its labeling (Cover 1965), so the separable
 labelings are the sign vectors of the planes through h points, read off the
 same walk's projections, each with every labeling of those h points. The
@@ -147,7 +150,10 @@ def _prefix_forms(lifted, dim, room, visit) -> bool:
                 return False
         return True
 
-    return walk((), (), 1, ())
+    try:
+        return walk((), (), 1, ())
+    finally:
+        del walk  # walk refers to itself: break the cycle so refcounting frees it
 
 
 def _images(wy, rest) -> list[tuple[int, int, int]]:
@@ -265,10 +271,11 @@ class SeparabilityCertificate:
         return sum((wi * xi for wi, xi in zip(self.w, point)), _ZERO) + self.b
 
 
-def generate_general_position(n: int, h: int, seed: int) -> PointSet:
-    """Deterministic general-position sample: integer coordinates uniform on
-    [-1000, 1000], whole set redrawn until PointSet's exact position check
-    accepts it.
+def _draws(n: int, h: int, seed: int):
+    """(attempt, points) for the draws of n points with integer coordinates
+    uniform on [-COORD_RANGE, COORD_RANGE]^h from ``random.Random(seed)``: the
+    first, then up to MAX_RESAMPLES redraws of the whole set, for a caller
+    that stops at the first it accepts. GeneralPositionError after the last.
 
     Whole-set resampling keeps the draw a pure function of (n, h, seed); the
     Mersenne Twister behind ``random.Random`` is stable across platforms.
@@ -279,18 +286,26 @@ def generate_general_position(n: int, h: int, seed: int) -> PointSet:
         raise ValueError(f"generation supports 1 <= h <= 4, got h={h}")
     rng = random.Random(seed)
     for attempt in range(MAX_RESAMPLES + 1):
-        pts = tuple(
+        yield attempt, tuple(
             tuple(rng.randint(-COORD_RANGE, COORD_RANGE) for _ in range(h))
             for _ in range(n)
         )
-        try:
-            return PointSet(dim=h, points=pts, seed=seed, resamples=attempt)
-        except ValueError:
-            continue
     raise GeneralPositionError(
         f"no general-position set of n={n}, h={h} after {MAX_RESAMPLES} resamples "
         f"(seed={seed})"
     )
+
+
+def generate_general_position(n: int, h: int, seed: int) -> PointSet:
+    """Deterministic general-position sample: integer coordinates uniform on
+    [-1000, 1000], whole set redrawn until PointSet's exact position check
+    accepts it (see ``_draws``).
+    """
+    for attempt, pts in _draws(n, h, seed):
+        try:
+            return PointSet(dim=h, points=pts, seed=seed, resamples=attempt)
+        except ValueError:
+            continue
 
 
 def _separation(lifted, plus) -> tuple[Tableau, dict[int, int] | None]:
@@ -409,9 +424,12 @@ def _cells(wy, rest) -> list[int]:
     a half-turn of N each x flips once, as N passes its image: the labelings
     are the running XORs of the bits in angular order from the cell before
     angle 0 (images with q > 0, or q = 0 < p), less the last, the first's
-    complement. By general position the images are apart."""
+    complement. None when two images are parallel or one is zero, which
+    general position rules out."""
     lines = _images(wy, rest)
     keyed = _angles(lines)
+    if keyed is None:
+        return None
     cell = sum(bit for p, nq, bit in lines if nq < 0 or not nq and p > 0)
     cells = [cell]
     for key in sorted(keyed)[:-1]:
@@ -447,19 +465,37 @@ def separable_masks(ps: PointSet) -> frozenset[int]:
     room. Each labeling goes in with every labeling of F, and the negations
     are added once at the end. In one dimension the planes are thresholds,
     and the labelings are the 2n that label the points below some cut -1
-    and the rest +1, or the other way round.
+    and the rest +1, or the other way round. RuntimeError if the sweep finds
+    the points dependent, which PointSet rules out (see ``_sweep``).
     """
-    n, h = len(ps), ps.dim
-    _require_enumerable(n)
-    if n <= h + 1:
-        return frozenset(range(1 << n))
+    _require_enumerable(len(ps))
+    masks = _sweep(ps.points, ps.lifted, ps.dim)
+    if masks is None:
+        raise RuntimeError(f"the mask sweep found {ps.points} not in general position")
+    return masks
+
+
+def _sweep(points, lifted, h) -> frozenset[int] | None:
+    """separable_masks of n points in dimension h with integer lifts
+    ``lifted``, or None when they are not in general position, decided on
+    the way. For h = 1 or n <= h + 1 that is _in_general_position. Else every
+    (h+1)-subset is a swept flat F = P + {y} (see separable_masks) and two
+    points x, z of F's ``rest``, and it is dependent exactly when P's rows
+    are, which stops the walk, or W_y is zero, which zeroes every image, or
+    x's image is zero, or x's and z's are parallel: ``_angles`` reports the
+    last three exactly."""
+    n = len(points)
     full = (1 << n) - 1
-    if h == 1:  # the planes are thresholds: the points below a cut, or above
+    if h == 1 or n <= h + 1:
+        if not _in_general_position(lifted, h):
+            return None
+        if n <= h + 1:
+            return frozenset(range(1 << n))
+        # the planes are thresholds: the points below a cut, or above
         below = [0]
-        for i in sorted(range(n), key=ps.points.__getitem__):
+        for i in sorted(range(n), key=points.__getitem__):
             below.append(below[-1] | 1 << i)
         return frozenset(below + [full ^ m for m in below])
-    lifted = ps.lifted
     masks = set()
 
     def planes_through(prefix, u, v, w):
@@ -483,12 +519,15 @@ def separable_masks(ps: PointSet) -> frozenset[int]:
         for j in range(start + 1, len(proj), 2) if prefix else range(len(proj) - 1):
             ybit, *wy = proj[j]
             cells = _cells(wy, proj[:j] + proj[j + 1:])
+            if cells is None:
+                return False
             found.update(cells, [c | ybit for c in cells])
         for t in tilts:
             masks.update([t | m for m in found])
         return True
 
-    _prefix_forms(lifted, h, 2, planes_through)
+    if not _prefix_forms(lifted, h, 2, planes_through):
+        return None
     return frozenset(masks | {full ^ m for m in masks})
 
 
@@ -517,7 +556,10 @@ def verify_formula(
     n: int, h: int, trials: int, seed: int, workers: int = 1
 ) -> VerifyReport:
     """Draw ``trials`` fresh general-position sets and count the separable
-    labelings of each as ``len(separable_masks(ps))``.
+    labelings of each as ``len(separable_masks(ps))``, ps the set that
+    ``generate_general_position`` draws from the trial seed. The mask sweep
+    decides each draw's general position as it counts (see ``_sweep``), so
+    no PointSet is built and no separate position test runs.
 
     PASS means every trial matched 2 * sum_{i<=h} C(n-1, i) exactly. Trial
     seeds are derived from the master seed so runs are reproducible while
@@ -536,9 +578,12 @@ def verify_formula(
     expected = shatter_multi(n, HypothesisSpec(h, 1))
     results = []
     for ts in trial_seeds:
-        ps = generate_general_position(n, h, ts)
-        cnt = len(separable_masks(ps))
-        results.append(VerifyTrial(seed=ts, resamples=ps.resamples, count=cnt))
+        for attempt, pts in _draws(n, h, ts):
+            # an integer point's lift is (x, 1): _lift's k is 1
+            masks = _sweep(pts, [p + (1,) for p in pts], h)
+            if masks is not None:
+                break
+        results.append(VerifyTrial(seed=ts, resamples=attempt, count=len(masks)))
     return VerifyReport(
         n=n,
         h=h,

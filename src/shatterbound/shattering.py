@@ -161,19 +161,29 @@ def shatter_upper_closed(n: int, spec: HypothesisSpec) -> LogNum:
 
 def binom_lower_bound(m: int, k: int) -> LogNum:
     """ln (m/k)^k, a lower bound for ln C(m, k); needs m >= k > 0."""
-    _require_sandwich_args(m, k)
-    return LogNum(k * math.log(m / k))
+    return LogNum(_sandwich_log(m, k, 0.0))
 
 
 def binom_upper_bound(m: int, k: int) -> LogNum:
     """ln (e*m/k)^k, an upper bound for ln C(m, k); needs m >= k > 0."""
-    _require_sandwich_args(m, k)
-    return LogNum(k * (1.0 + math.log(m / k)))
+    return LogNum(_sandwich_log(m, k, 1.0))
 
 
-def _require_sandwich_args(m: int, k: int) -> None:
+def _sandwich_log(m: int, k: int, shift: float) -> float:
+    """k * (shift + ln(m/k)), the sandwich bounds' log, or ValueError naming
+    (m, k) when it leaves the float range."""
     if k <= 0 or k > m:
         raise ValueError(f"bounds hold for m >= k > 0, got (m={m}, k={k})")
+    try:
+        ln_ratio = math.log(m / k)
+    except OverflowError:  # m / k past the float range, though not its log
+        ln_ratio = math.log(m) - math.log(k)
+    x = shift + ln_ratio
+    # a zero log is the power 1 for every k, even one past the float range
+    value = _float(k) * x if x else 0.0
+    if not math.isfinite(value):
+        raise ValueError(f"sandwich bound is not a finite float at m={m}, k={k}")
+    return value
 
 
 def gamma_const(spec: HypothesisSpec) -> float:

@@ -62,6 +62,12 @@ class TestDeltaBound:
         with pytest.raises(ValueError, match="n=100, h=3"):
             delta_bound(100, 0.5, HypothesisSpec(3, p))
 
+    def test_n_past_the_float_range_raises(self):
+        # n * eps^2 / 4 would raise OverflowError converting n
+        n = 10**400
+        with pytest.raises(ValueError, match=rf"not a finite float at n={n}, h=3, p=1$"):
+            delta_bound(n, 0.5, HypothesisSpec(3))
+
 
 class TestSolveMinN:
     def test_headline_example(self):
@@ -162,6 +168,12 @@ class TestSolveMinN:
         with pytest.raises(ValueError, match="log count is not a finite float"):
             solve_min_n(0.01, 0.05, HypothesisSpec(3, p))
 
+    def test_ladder_past_the_float_range_raises(self):
+        # at eps = 1e-300 the ladder climbs to 2^1024, where n * eps^2 / 4
+        # would raise OverflowError converting the rung
+        with pytest.raises(ValueError, match=rf"not a finite float at n={2**1024}, h=1, p=1$"):
+            solve_min_n(0.01, 1e-300, HypothesisSpec(1), ceiling=10**400)
+
     @pytest.mark.parametrize(
         ("ceiling", "expected_bracket"),
         [(1026778, (524288, 1026778)), (1048576, (524288, 1048576))],
@@ -255,6 +267,13 @@ class TestSolveMaxEps:
     def test_log_count_past_the_float_range_raises(self, p):
         with pytest.raises(ValueError, match="log count is not a finite float"):
             solve_max_eps(100, 0.01, HypothesisSpec(3, p))
+
+    def test_n_past_the_float_range_raises(self):
+        # 4 / n would raise OverflowError converting n, and 4.0 / inf would
+        # make the answer a silent 0.0
+        n = 10**400
+        with pytest.raises(ValueError, match=rf"not a finite float at n={n}, h=3, p=1$"):
+            solve_max_eps(n, 0.01, HypothesisSpec(3))
 
     def test_saturated_case_is_vacuous(self):
         got = solve_max_eps(10, 0.5, HypothesisSpec(9, 1))

@@ -526,6 +526,15 @@ class TestNPastTheFloatRange:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, what", [
+        (["bound", "--n", BIG, "--eps", "0.1", "--h", "1"], "log bound"),
+        (["solve-eps", "--n", BIG, "--delta", "0.1", "--h", "1"], "sample size n"),
+    ], ids=["bound", "solve-eps"])
+    def test_the_error_names_the_inputs(self, capsys, argv, what):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: {what} is not a finite float at n={self.BIG}, h=1, p=1\n"
+
 
 class TestParserIsBuiltOnce:
     def test_same_parser_every_call(self):

@@ -1,10 +1,11 @@
+import gc
 import itertools
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import shatterbound.oracle as om
@@ -200,6 +201,16 @@ def wide_sets(draw):
         return dim, draw(st.lists(point, min_size=n, max_size=n))
     coords.insert(draw(st.integers(0, n - 1)), extra)
     return dim, coords
+
+
+@st.composite
+def small_rational_sets(draw):
+    """1 to 10 points in dimension 1 to 5 with coordinates a / b, |a| <= 5
+    and b in {1, 2, 3}, as Fractions, with no assumption on their position:
+    about a third of the sets are not in general position."""
+    h, n = draw(st.integers(1, 5)), draw(st.integers(1, 10))
+    coord = st.builds(F, st.integers(-5, 5), st.sampled_from((1, 2, 3)))
+    return h, draw(st.lists(st.tuples(*[coord] * h), min_size=n, max_size=n))
 
 
 BIG = 2**53
@@ -1082,6 +1093,31 @@ class TestSeparableMasks:
             assume(False)
         assert separable_masks(ps) == brute_force_masks(ps)
 
+    @given(small_rational_sets())
+    # the walk's own rejection, at the first prefix: a repeated point at
+    # h = 4 and three collinear points at h = 5
+    @example((4, pts((1, 2, 3, 4), (1, 2, 3, 4), *moment_curve(5, 4))))
+    @example((5, pts(*[(i, 2 * i, 3 * i, 4 * i, 5 * i) for i in range(3)],
+                     *moment_curve(7, 5)[3:])))
+    @settings(max_examples=150, deadline=None)
+    def test_the_sweep_decides_general_position(self, case):
+        # the sweep is None exactly on the sets the position test rejects,
+        # and otherwise gives the masks of the set as a PointSet
+        h, points = case
+        lifted = [om._lift(p) for p in points]
+        masks = om._sweep(points, lifted, h)
+        assert (masks is None) == (not om._in_general_position(lifted, h))
+        if masks is not None:
+            assert masks == separable_masks(PointSet(dim=h, points=points))
+
+    def test_raises_on_a_set_the_sweep_finds_dependent(self, monkeypatch):
+        # only a PointSet built past its position test can be dependent;
+        # the refusal is an exception, so it holds under python -O
+        monkeypatch.setattr(om, "_in_general_position", lambda lifted, dim: True)
+        line = PointSet(dim=2, points=pts((0, 0), (1, 1), (2, 2), (0, 1)))
+        with pytest.raises(RuntimeError, match="not in general position"):
+            separable_masks(line)
+
 
 def sub_labeling(ps, supp, plus):
     """The points of a support mask as a PointSet, labelled by the plus
@@ -1195,6 +1231,54 @@ class TestVerifyFormula:
         assert rep.passed
         assert [t.count for t in rep.results] == [464, 464]
 
+    @pytest.mark.parametrize(
+        "n, h, trials, seed, coord_range",
+        [(20, 1, 20, 0, 1000), (8, 2, 6, 0, 6), (7, 3, 6, 0, 3), (7, 4, 4, 0, 2)],
+    )
+    def test_trials_match_generation_and_the_masks(
+        self, monkeypatch, n, h, trials, seed, coord_range
+    ):
+        # each trial equals generate_general_position on its trial seed with
+        # len(separable_masks(ps)), resamples included: on [-1000, 1000] one
+        # h = 1 trial of the twenty redraws, and the small ranges redraw at
+        # h = 2..4
+        monkeypatch.setattr(om, "COORD_RANGE", coord_range)
+        rep = verify_formula(n, h, trials, seed)
+        assert any(t.resamples for t in rep.results)
+        for t in rep.results:
+            ps = generate_general_position(n, h, t.seed)
+            assert (t.resamples, t.count) == (ps.resamples, len(separable_masks(ps)))
+
+    def test_counts_with_the_work_of_the_masks_alone(self, monkeypatch):
+        # a trial that keeps its first draw makes the walk's eliminations,
+        # dot products and angular orders of separable_masks on that set
+        # (see test_one_angular_order_per_flat) and runs no position test
+        calls = walk_counters(monkeypatch, "_cells", "_in_general_position")
+        (trial,) = verify_formula(12, 3, 1, 4).results
+        assert trial.resamples == 0
+        fused = dict(calls)
+        ps = generate_general_position(12, 3, trial.seed)
+        calls.update(dict.fromkeys(calls, 0))
+        assert len(separable_masks(ps)) == trial.count
+        assert fused == calls == {
+            "_side": 3 * 10 * 11, "_extend": 10, "_cells": 30, "_in_general_position": 0,
+        }
+
+    def test_leaves_no_cyclic_garbage(self):
+        # the walk's recursive closure is freed on return, so each sweep and
+        # position test, and the masks its visitor holds, go at once rather
+        # than piling up between collections
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            verify_formula(12, 3, 2, 4)
+            generate_general_position(18, 3, 0)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_size_guards(self):
         with pytest.raises(ValueError):
             verify_formula(25, 2, 1, 0)
@@ -1211,3 +1295,13 @@ class TestGenerationFailure:
         monkeypatch.setattr(om, "_in_general_position", lambda pts, dim: False)
         with pytest.raises(GeneralPositionError):
             generate_general_position(5, 2, 0)
+
+    def test_exhausted_retries_raise_in_verify(self, monkeypatch):
+        # every draw is five copies of the origin, which the sweep rejects;
+        # the error names the trial seed, as generation does
+        monkeypatch.setattr(om, "COORD_RANGE", 0)
+        ts = random.Random(3).randrange(2**32)
+        message = f"no general-position set of n=5, h=2 after 100 resamples (seed={ts})"
+        with pytest.raises(GeneralPositionError) as exc:
+            verify_formula(5, 2, 1, 3)
+        assert str(exc.value) == message

@@ -294,6 +294,26 @@ class TestBinomialSandwich:
                 assert binom_lower_bound(m, k).log_value <= mid
                 assert mid <= binom_upper_bound(m, k).log_value
 
+    @pytest.mark.parametrize("k", [1, 2, 10**200], ids=["1", "2", "1e200"])
+    def test_m_over_k_past_the_float_range(self, k):
+        # m / k would raise OverflowError; its log and the bounds are finite
+        m = 10**400
+        lower = binom_lower_bound(m, k).log_value
+        assert lower == pytest.approx(k * math.log(10**400 // k), rel=1e-15)
+        assert binom_upper_bound(m, k).log_value == pytest.approx(lower + k, rel=1e-15)
+
+    def test_k_equal_to_m_past_the_float_range(self):
+        # (m/k)^k = 1 whatever k is
+        assert binom_lower_bound(10**400, 10**400).log_value == 0.0
+
+    @pytest.mark.parametrize("call", [binom_lower_bound, binom_upper_bound],
+                             ids=["lower", "upper"])
+    def test_bound_past_the_float_range_raises(self, call):
+        # k * ln(m / k) = 10**399 * ln 10 leaves the float range
+        m, k = 10**400, 10**399
+        with pytest.raises(ValueError, match=rf"not a finite float at m={m}, k={k}$"):
+            call(m, k)
+
     def test_rejects_out_of_range(self):
         for m, k in [(4, 0), (4, 5), (0, 1)]:
             with pytest.raises(ValueError):
