@@ -13,6 +13,7 @@ delta, and inverts for the largest eps a given (n, delta) supports.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 
@@ -181,12 +182,9 @@ def solve_max_eps(n: int, delta: float, spec: HypothesisSpec) -> float:
         raise _not_finite(n, spec.h, spec.p, "sample size n") from None
 
 
-@dataclass(frozen=True)
-class CurveRow:
-    n: int
-    h: int
-    p: int
-    epsilon: float
+# a named tuple, not a frozen dataclass: a curve builds one row per (n, spec),
+# and a tuple is the cheapest immutable record with named fields
+CurveRow = collections.namedtuple("CurveRow", "n h p epsilon")
 
 
 def emit_epsilon_curve(
@@ -200,6 +198,5 @@ def emit_epsilon_curve(
     rows = []
     for spec in sorted(specs, key=lambda s: (s.h, s.p)):
         for n in n_grid:
-            rows.append(CurveRow(n=n, h=spec.h, p=spec.p, epsilon=epsilon_curve(n, spec)))
+            rows.append(CurveRow(n, spec.h, spec.p, epsilon_curve(n, spec)))
     return rows
-

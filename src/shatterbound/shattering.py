@@ -89,21 +89,32 @@ def shatter_multi(n: int, spec: HypothesisSpec) -> int:
     return 2 * sum(c**spec.p for c in _binomial_row(n - 1, min(spec.h, n - 1)))
 
 
+# math.log(i) for _ln_count's divisors 1 <= i < _LN_I_END (entry 0 is unused);
+# a larger i, from h >= _LN_I_END, takes math.log(i) itself
+_LN_I_END = 64
+_LN_I = (0.0,) + tuple(math.log(i) for i in range(1, _LN_I_END))
+
+
 def _ln_count(n: int, h: int, p: int) -> float:
     """ln N(n) on plain floats, the one evaluation under shatter_log, delta_bound,
     solve_max_eps and the solver: _log_binomial_row's step and _log_add's fold
-    in one loop, so every float is the one those two L0 helpers give. ValueError
-    when the log leaves the float range, which only a huge p can bring about."""
+    in one loop, their operations in their order, so every float is the one
+    those two L0 helpers give. ValueError when the log leaves the float range,
+    which only a huge p can bring about."""
     _require_positive_n(n)
     m = n - 1
     ln_c = acc = 0.0  # the i = 0 term C(m, 0)**p = 1
     try:
-        for i in range(1, min(h, m) + 1):
-            ln_c = ln_c + math.log(m - i + 1) - math.log(i)
+        for i in range(1, (h if h < m else m) + 1):
+            ln_i = _LN_I[i] if i < _LN_I_END else math.log(i)
+            ln_c = ln_c + math.log(m - i + 1) - ln_i
             # a zero log is the term 1 for every p, even one past the float range
             t = p * ln_c if ln_c else 0.0
-            hi, lo = (acc, t) if acc >= t else (t, acc)
-            acc = hi + math.log1p(math.exp(lo - hi))
+            # _log_add's fold with the larger term factored out
+            if acc >= t:
+                acc = acc + math.log1p(math.exp(t - acc))
+            else:
+                acc = t + math.log1p(math.exp(acc - t))
     except OverflowError:  # an int p past the float range times ln_c > 0
         acc = math.inf
     if not math.isfinite(acc):

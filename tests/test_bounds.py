@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shatterbound.bounds import (
+    CurveRow,
     DEFAULT_CEILING,
     NoBracketError,
     delta_bound,
@@ -335,6 +336,19 @@ class TestEmitEpsilonCurve:
         eps = [r.epsilon for r in rows]
         assert all(a > b for a, b in zip(eps, eps[1:]))
 
+    def test_rows_are_epsilon_curve_in_h_p_n_order(self):
+        grid = [2, 3, 100, 10**6, 2**63 - 1]
+        specs = [HypothesisSpec(3, 16), HypothesisSpec(0, 1), HypothesisSpec(3, 1),
+                 HypothesisSpec(1, 4)]
+        expected = [
+            (n, h, p, epsilon_curve(n, HypothesisSpec(h, p)))
+            for h, p in ((0, 1), (1, 4), (3, 1), (3, 16))
+            for n in grid
+        ]
+        rows = emit_epsilon_curve(grid, specs)
+        assert all(type(r) is CurveRow for r in rows)
+        assert [(r.n, r.h, r.p, r.epsilon) for r in rows] == expected
+
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):
             emit_epsilon_curve([], [HypothesisSpec(1, 1)])
@@ -342,3 +356,29 @@ class TestEmitEpsilonCurve:
             emit_epsilon_curve([5, 5], [HypothesisSpec(1, 1)])
         with pytest.raises(ValueError):
             emit_epsilon_curve([9, 3], [HypothesisSpec(1, 1)])
+
+
+class TestCurveRow:
+    def test_fields_in_order(self):
+        assert CurveRow._fields == ("n", "h", "p", "epsilon")
+
+    def test_keyword_and_positional_construction_agree(self):
+        row = CurveRow(n=100, h=3, p=16, epsilon=0.25)
+        assert row == CurveRow(100, 3, 16, 0.25)
+        assert (row.n, row.h, row.p, row.epsilon) == (100, 3, 16, 0.25)
+
+    def test_is_a_tuple_with_its_hash(self):
+        row = CurveRow(100, 3, 16, 0.25)
+        assert isinstance(row, tuple)
+        assert tuple(row) == (100, 3, 16, 0.25)
+        assert hash(row) == hash((100, 3, 16, 0.25))
+
+    def test_fields_cannot_be_assigned(self):
+        row = CurveRow(100, 3, 16, 0.25)
+        for field in CurveRow._fields:
+            with pytest.raises(AttributeError):
+                setattr(row, field, 0)
+        assert row == (100, 3, 16, 0.25)
+
+    def test_repr(self):
+        assert repr(CurveRow(100, 3, 16, 0.25)) == "CurveRow(n=100, h=3, p=16, epsilon=0.25)"

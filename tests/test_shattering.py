@@ -8,6 +8,8 @@ from shatterbound.bounds import delta_bound
 from shatterbound.logarithmetic import LN2, _log_add, _log_binomial_row
 from shatterbound.shattering import (
     HypothesisSpec,
+    _LN_I,
+    _LN_I_END,
     _ln_count,
     asymptotic_condition,
     binom_lower_bound,
@@ -182,19 +184,32 @@ def _value_or_error(f, *args):
 
 
 class TestLnCountKernel:
+    # h runs past the end of the kernel's ln i table, _LN_I_END = 64
     @given(
         log_uniform_n(),
-        st.integers(0, 60),
+        st.integers(0, 200),
         st.one_of(st.integers(1, 16), st.sampled_from([10**300, 10**400])),
     )
     @example(2**63 - 1, 60, 10**300)
     @example(2**63 - 1, 60, 16)
+    @example(2**63 - 1, _LN_I_END - 1, 16)
+    @example(2**63 - 1, _LN_I_END, 16)
+    @example(2**63 - 1, 200, 16)
+    @example(2**63 - 1, 200, 10**400)
+    @example(_LN_I_END + 1, _LN_I_END, 3)  # n = h + 1: the whole row
+    @example(_LN_I_END, 200, 3)  # n < h + 1: the row ends first
+    @example(5, 4, 10**400)
     @example(2, 60, 10**400)
     @example(1, 0, 10**400)
+    @example(1, 200, 16)
     @settings(max_examples=500)
     def test_bit_identical_to_the_l0_helpers(self, n, h, p):
         got = _value_or_error(_ln_count, n, h, p)
         assert got == _value_or_error(_reference_ln_count, n, h, p)
+
+    def test_ln_i_table_is_math_log(self):
+        assert len(_LN_I) == _LN_I_END
+        assert all(_LN_I[i] == math.log(i) for i in range(1, _LN_I_END))
 
     @pytest.mark.parametrize("n,h,p", [
         (n, h, p)
