@@ -7,10 +7,10 @@ separates, in two exact ways that share only the point set. A labeling is
 one int whose bit i is set when point i is labelled +1. Each point x is also
 kept as its integer lift k * (x, 1), the same ray as (x, 1), with k the lcm
 of x's denominators. One walk over index subsets extends a fraction-free
-elimination of the lifted rows along each prefix of h - 2 points and hands
-the prefix's 3-D complement to a visitor, which projects the other rows
-onto it once (in two dimensions the prefix is empty, and the lifted rows
-are their own projections). The general-position test decides every
+elimination of the lifted rows along each prefix of h - 2 points and yields
+the prefix's 3-D complement to the loop over it, which projects the other
+rows onto it once (in two dimensions the prefix is empty, and the lifted
+rows are their own projections). The general-position test decides every
 (h+1)-subset through the prefix from 2-D images of cross products of the
 later rows' projections, and the mask oracle's sweep below sorts such
 images, both by one exact rule: distinct correctly rounded float ratios
@@ -116,44 +116,38 @@ def _extend(rows, cols, d, y):
 
 
 def _side(normal, y) -> int:
-    """normal . y: in the subset walk's visitors, one coordinate of y's
+    """normal . y: in the loops over the subset walk, one coordinate of y's
     projection onto the complement of a prefix."""
     return sum(map(mul, normal, y))
 
 
-def _prefix_forms(lifted, dim, room, visit) -> bool:
-    """Walk every (dim - 2)-subset P of the lifted rows that has ``room``
-    rows after its last index, depth first over index subsets: a child adds
-    one later row to its parent's fraction-free elimination, so subsets
-    sharing a prefix share its work. At P the form gives integer vectors
-    u, v, w spanning the complement of P's rows (u . p = v . p = w . p = 0
-    for every row p of P), and the walk calls visit(P, u, v, w), P a tuple
-    of indices. Returns False as soon as some P's rows are dependent or a
-    visit returns False, else True. Needs dim >= 2 and room >= 1."""
-    n = len(lifted)
-
-    def walk(rows, cols, d, prefix):
-        depth = len(prefix)
-        if depth == dim - 2:
-            basis = []
-            for f in (j for j in range(dim + 1) if j not in cols):
-                b = [0] * (dim + 1)
-                b[f] = d
-                for row, c in zip(rows, cols):
-                    b[c] = -row[f]
-                basis.append(b)
-            return visit(prefix, *basis)
-        start = prefix[-1] + 1 if prefix else 0
-        for j in range(start, n - room - dim + 3 + depth):  # room for the rest of P
-            child = _extend(rows, cols, d, lifted[j])
-            if child is None or not walk(*child, prefix + (j,)):
-                return False
-        return True
-
-    try:
-        return walk((), (), 1, ())
-    finally:
-        del walk  # walk refers to itself: break the cycle so refcounting frees it
+def _prefix_forms(lifted, dim, room, rows=(), cols=(), d=1, prefix=()):
+    """Yield (P, u, v, w) for every (dim - 2)-subset P of the lifted rows
+    that has ``room`` rows after its last index, depth first over index
+    subsets: a child adds one later row to its parent's fraction-free
+    elimination (rows, cols, d) of ``prefix``, so subsets sharing a prefix
+    share its work. P is a tuple of indices, and u, v, w are integer vectors
+    spanning the complement of P's rows (u . p = v . p = w . p = 0 for every
+    row p of P). At the first P whose rows are dependent it yields None, and
+    the caller stops. Needs dim >= 2 and room >= 1."""
+    depth = len(prefix)
+    if depth == dim - 2:
+        basis = []
+        for f in (j for j in range(dim + 1) if j not in cols):
+            b = [0] * (dim + 1)
+            b[f] = d
+            for row, c in zip(rows, cols):
+                b[c] = -row[f]
+            basis.append(b)
+        yield prefix, *basis
+        return
+    start = prefix[-1] + 1 if prefix else 0
+    for j in range(start, len(lifted) - room - dim + 3 + depth):  # room for the rest of P
+        child = _extend(rows, cols, d, lifted[j])
+        if child is None:
+            yield None
+            return
+        yield from _prefix_forms(lifted, dim, room, *child, prefix + (j,))
 
 
 def _images(wy, rest) -> list[tuple[int, int, int]]:
@@ -192,8 +186,10 @@ def _in_general_position(lifted, dim) -> bool:
     if len(lifted) <= dim:  # the one subset is all n rows: eliminate them in turn
         form = (), (), 1
         return all(form := _extend(*form, y) for y in lifted)
-
-    def later_rows_apart(prefix, u, v, w):
+    for form in _prefix_forms(lifted, dim, 3):
+        if form is None:
+            return False
+        prefix, u, v, w = form
         # prefix + {x, y, z} is independent iff the projections X, Y, Z are:
         # each row's cross products with the later rows are nonzero and
         # apart. Distinct float keys prove that (see _angles; with c != 0 they
@@ -211,9 +207,7 @@ def _in_general_position(lifted, dim) -> bool:
                 pass
             if _angles(_images((a, b, c), [(0, *x) for x in rest])) is None:
                 return False
-        return True
-
-    return _prefix_forms(lifted, dim, 3, later_rows_apart)
+    return True
 
 
 @dataclass(frozen=True)
@@ -389,28 +383,30 @@ def count_dichotomies(ps: PointSet) -> int:
     whose prefix is not separable has no separable extension.
     """
     _require_enumerable(len(ps))
-    lifted = ps.lifted
-
-    def extend(k, plus, tab):
-        if k == len(lifted):
-            return 1
-        y = lifted[k]
-        total = 0
-        for bits in (plus | 1 << k, plus):
-            child = tab.copy()
-            child.add_row([-v for v in y] if bits >> k & 1 else y, -1)
-            proof = child.solve()
-            if proof is None:
-                total += extend(k + 1, bits, child)
-            elif not _proof_support(proof, bits, lifted[: k + 1]) >> k & 1:
-                raise RuntimeError(
-                    f"multipliers {proof} for plus bits {bits:b} leave out "
-                    f"point {k}, but the points before it are separable"
-                )
-        return total
-
     # one point is always separable, so the root's solve is feasible
-    return 2 * extend(1, 1, _separation(lifted[:1], 1)[0])
+    return 2 * _count_from(ps.lifted, 1, 1, _separation(ps.lifted[:1], 1)[0])
+
+
+def _count_from(lifted, k, plus, tab) -> int:
+    """Number of separable labelings of ``lifted`` whose first k labels
+    are the low k bits of ``plus``, tab the feasible tableau of those k
+    points (see count_dichotomies)."""
+    if k == len(lifted):
+        return 1
+    y = lifted[k]
+    total = 0
+    for bits in (plus | 1 << k, plus):
+        child = tab.copy()
+        child.add_row([-v for v in y] if bits >> k & 1 else y, -1)
+        proof = child.solve()
+        if proof is None:
+            total += _count_from(lifted, k + 1, bits, child)
+        elif not _proof_support(proof, bits, lifted[: k + 1]) >> k & 1:
+            raise RuntimeError(
+                f"multipliers {proof} for plus bits {bits:b} leave out "
+                f"point {k}, but the points before it are separable"
+            )
+    return total
 
 
 def _cells(wy, rest) -> list[int]:
@@ -497,8 +493,10 @@ def _sweep(points, lifted, h) -> frozenset[int] | None:
             below.append(below[-1] | 1 << i)
         return frozenset(below + [full ^ m for m in below])
     masks = set()
-
-    def planes_through(prefix, u, v, w):
+    for form in _prefix_forms(lifted, h, 2):
+        if form is None:
+            return None
+        prefix, u, v, w = form
         held = sum(1 << i for i in prefix)
         tilts = [0]  # the 2^(h-2) labelings of P
         for i in prefix:
@@ -520,14 +518,10 @@ def _sweep(points, lifted, h) -> frozenset[int] | None:
             ybit, *wy = proj[j]
             cells = _cells(wy, proj[:j] + proj[j + 1:])
             if cells is None:
-                return False
+                return None
             found.update(cells, [c | ybit for c in cells])
         for t in tilts:
             masks.update([t | m for m in found])
-        return True
-
-    if not _prefix_forms(lifted, h, 2, planes_through):
-        return None
     return frozenset(masks | {full ^ m for m in masks})
 
 

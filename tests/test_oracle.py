@@ -559,6 +559,36 @@ class TestPointSet:
         assert om._in_general_position(lifts(*coords), 4) == accepted
         assert calls == {"_side": 0, "_extend": 3, "_angles": 0}
 
+    @pytest.mark.parametrize("room", [2, 3])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_walk_yields_each_prefix_in_order_with_its_complement(self, dim, room):
+        # the (dim - 2)-subsets with room rows after their last index, in
+        # lexicographic order, each with integer u, v, w orthogonal to its
+        # rows and spanning, with them, all dim + 1 coordinates
+        n = dim + 4
+        lifted = lifts(*moment_curve(n, dim))
+        forms = list(om._prefix_forms(lifted, dim, room))
+        expect = [
+            p for p in itertools.combinations(range(n), dim - 2)
+            if not p or n - 1 - p[-1] >= room
+        ]
+        assert [form[0] for form in forms] == expect
+        for prefix, *basis in forms:
+            rows = [lifted[i] for i in prefix]
+            for vec in basis:
+                assert all(type(x) is int for x in vec)
+                assert all(sum(a * b for a, b in zip(vec, row)) == 0 for row in rows)
+            assert gram_rank([[F(x) for x in r] for r in rows + basis]) == dim + 1
+
+    def test_walk_yields_none_at_the_first_dependent_prefix(self):
+        # point 2 repeats point 0, so of the prefixes (0, 1), (0, 2), (1, 2)
+        # the second has dependent rows: one form, then None
+        coords = moment_curve(5, 4)
+        coords[2] = coords[0]
+        walk = om._prefix_forms(lifts(*coords), 4, 2)
+        assert next(walk)[0] == (0, 1)
+        assert next(walk) is None
+
 
 class TestFloatKeys:
     """The position test keys each later row's cross products by the float
@@ -1265,15 +1295,20 @@ class TestVerifyFormula:
         }
 
     def test_leaves_no_cyclic_garbage(self):
-        # the walk's recursive closure is freed on return, so each sweep and
-        # position test, and the masks its visitor holds, go at once rather
-        # than piling up between collections
+        # no oracle entry point recurses through a self-referencing closure,
+        # so each sweep, position test and LP enumeration, and the masks and
+        # tableaux it holds, go at once rather than piling up between
+        # collections
         enabled = gc.isenabled()
         gc.collect()
         gc.disable()
         try:
             verify_formula(12, 3, 2, 4)
             generate_general_position(18, 3, 0)
+            ps = PointSet(dim=2, points=generate_general_position(8, 2, 1).points)
+            count_dichotomies(ps)
+            is_separable(ps, (1, -1) * 4)
+            separable_masks(ps)
             assert gc.collect() == 0
         finally:
             if enabled:

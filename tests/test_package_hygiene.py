@@ -26,6 +26,23 @@ def test_no_assert_statements(path):
     assert lines == [], f"{path.name} asserts at lines {lines}"
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_self_referencing_nested_function(path):
+    # a nested function that names itself holds itself through its closure
+    # cell, a reference cycle that refcounting never frees, so each call of
+    # its parent leaves garbage for the cyclic collector; a recursion is a
+    # module-level function or a generator instead
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = sorted({
+        f"{inner.name} (line {inner.lineno})"
+        for outer in ast.walk(tree) if isinstance(outer, funcs)
+        for inner in ast.walk(outer) if inner is not outer and isinstance(inner, funcs)
+        if any(isinstance(n, ast.Name) and n.id == inner.name for n in ast.walk(inner))
+    })
+    assert found == [], f"{path.name} has self-referencing nested functions {found}"
+
+
 @pytest.mark.parametrize(
     "name", ["shatterbound"] + [f"shatterbound.{m}" for m in MODULES]
 )
