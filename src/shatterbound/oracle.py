@@ -16,7 +16,7 @@ later rows' projections, and the mask oracle's sweep below sorts such
 images, both by one exact rule: distinct correctly rounded float ratios
 prove the images apart and give their angular order, and exact ratios
 decide the rest (the float filter of exact predicates, Shewchuk 1997). In
-one dimension there is no such prefix, and both work on the points.
+one dimension the position test compares lifts, and the swept flat is empty.
 
 The mask oracle, ``separable_masks``, runs no LP. ``verify_formula`` runs
 its sweep on each draw directly: the sweep meets every dependency that the
@@ -421,7 +421,9 @@ def _cells(wy, rest) -> list[int]:
     are the running XORs of the bits in angular order from the cell before
     angle 0 (images with q > 0, or q = 0 < p), less the last, the first's
     complement. None when two images are parallel or one is zero, which
-    general position rules out."""
+    general position rules out. In one dimension F is empty, ``wy`` is
+    (0, 0, 1), and a lift k * (x, 1) comes as (bit, k, k * x, 0): its image
+    (-k * x, -k) has key x, and every point starts in the first cell."""
     lines = _images(wy, rest)
     keyed = _angles(lines)
     if keyed is None:
@@ -459,39 +461,35 @@ def separable_masks(ps: PointSet) -> frozenset[int]:
     largest indices two have equal parity, and dropping the third leaves
     such an F, whose P ends at least two rows before the last, the walk's
     room. Each labeling goes in with every labeling of F, and the negations
-    are added once at the end. In one dimension the planes are thresholds,
-    and the labelings are the 2n that label the points below some cut -1
-    and the rest +1, or the other way round. RuntimeError if the sweep finds
-    the points dependent, which PointSet rules out (see ``_sweep``).
+    are added once at the end. In one dimension F is empty and the planes
+    are thresholds: one half-turn gives the 2n labelings that label the
+    points below a cut -1 and the rest +1, or the reverse. RuntimeError if
+    the sweep finds the points dependent, which PointSet rules out.
     """
     _require_enumerable(len(ps))
-    masks = _sweep(ps.points, ps.lifted, ps.dim)
+    masks = _sweep(ps.lifted, ps.dim)
     if masks is None:
         raise RuntimeError(f"the mask sweep found {ps.points} not in general position")
     return masks
 
 
-def _sweep(points, lifted, h) -> frozenset[int] | None:
+def _sweep(lifted, h) -> frozenset[int] | None:
     """separable_masks of n points in dimension h with integer lifts
     ``lifted``, or None when they are not in general position, decided on
-    the way. For h = 1 or n <= h + 1 that is _in_general_position. Else every
+    the way. For h = 1 the flat is empty, and equal points have parallel
+    images. For h >= 2 and n <= h + 1 it is _in_general_position. Else every
     (h+1)-subset is a swept flat F = P + {y} (see separable_masks) and two
     points x, z of F's ``rest``, and it is dependent exactly when P's rows
     are, which stops the walk, or W_y is zero, which zeroes every image, or
     x's image is zero, or x's and z's are parallel: ``_angles`` reports the
     last three exactly."""
-    n = len(points)
+    n = len(lifted)
     full = (1 << n) - 1
-    if h == 1 or n <= h + 1:
-        if not _in_general_position(lifted, h):
-            return None
-        if n <= h + 1:
-            return frozenset(range(1 << n))
-        # the planes are thresholds: the points below a cut, or above
-        below = [0]
-        for i in sorted(range(n), key=points.__getitem__):
-            below.append(below[-1] | 1 << i)
-        return frozenset(below + [full ^ m for m in below])
+    if h == 1:  # images (-x, -k): the cells are the sets above each cut
+        cells = _cells((0, 0, 1), [(1 << i, k, x, 0) for i, (x, k) in enumerate(lifted)])
+        return None if cells is None else frozenset(cells + [full ^ c for c in cells])
+    if n <= h + 1:
+        return frozenset(range(1 << n)) if _in_general_position(lifted, h) else None
     masks = set()
     for form in _prefix_forms(lifted, h, 2):
         if form is None:
@@ -553,7 +551,7 @@ def verify_formula(
     labelings of each as ``len(separable_masks(ps))``, ps the set that
     ``generate_general_position`` draws from the trial seed. The mask sweep
     decides each draw's general position as it counts (see ``_sweep``), so
-    no PointSet is built and no separate position test runs.
+    no PointSet is built and no separate position test runs for n > h + 1.
 
     PASS means every trial matched 2 * sum_{i<=h} C(n-1, i) exactly. Trial
     seeds are derived from the master seed so runs are reproducible while
@@ -574,7 +572,7 @@ def verify_formula(
     for ts in trial_seeds:
         for attempt, pts in _draws(n, h, ts):
             # an integer point's lift is (x, 1): _lift's k is 1
-            masks = _sweep(pts, [p + (1,) for p in pts], h)
+            masks = _sweep([p + (1,) for p in pts], h)
             if masks is not None:
                 break
         results.append(VerifyTrial(seed=ts, resamples=attempt, count=len(masks)))

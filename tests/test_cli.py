@@ -379,6 +379,9 @@ class TestOutputContract:
         assert sci_from_log(0.0) == "1.00000e+00"
         assert sci_from_log(math.log(0.01)) == "1.00000e-02"
         assert sci_from_log(-1000.0) == "5.07596e-435"
+        # a mantissa that rounds up to 10 carries into the exponent
+        assert sci_from_log(math.log(9.9999999)) == "1.00000e+01"
+        assert sci_from_log(math.log(9.999996e-7)) == "1.00000e-06"
 
     def test_module_entrypoint_runs(self):
         proc = run_python("-m", "shatterbound", "coef", "--n", "4", "--h", "2")

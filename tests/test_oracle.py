@@ -332,6 +332,12 @@ class TestPointSet:
         with pytest.raises(ValueError):
             PointSet(dim=2, points=pts((0, 0), (1,)))
 
+    def test_rejects_dimension_zero_and_no_points(self):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            PointSet(dim=0, points=[()])
+        with pytest.raises(ValueError, match="must be nonempty"):
+            PointSet(dim=2, points=())
+
     def test_coerces_to_fractions(self):
         ps = PointSet(dim=1, points=((0,), (3,)))
         assert ps.points == ((F(0),), (F(3),))
@@ -751,6 +757,10 @@ class TestGeneration:
         ps = generate_general_position(1, 2, 3)
         assert len(ps) == 1
 
+    def test_rejects_no_points(self):
+        with pytest.raises(ValueError, match="need at least one point"):
+            generate_general_position(0, 2, 0)
+
     def test_coordinates_in_declared_range(self):
         ps = generate_general_position(8, 3, 9)
         assert all(-1000 <= x <= 1000 for p in ps.points for x in p)
@@ -800,6 +810,17 @@ class TestSeparability:
     def test_dichotomy_validates_labels(self):
         with pytest.raises(ValueError, match=r"-1 or \+1"):
             is_separable(LINE3, (1, 0, -1))
+
+    def test_revalidates_the_plane_it_returns(self, monkeypatch):
+        # a tableau whose point fails the system must not become a
+        # certificate: w = 0, b = 1 puts both points on the + side; the
+        # check is an exception, so it holds under python -O
+        import shatterbound.rational_lp as lp
+
+        monkeypatch.setattr(lp.Tableau, "point", lambda self: [0, 1])
+        ps = PointSet(dim=1, points=[(0,), (1,)])
+        with pytest.raises(RuntimeError, match="feasible plane"):
+            is_separable(ps, (1, -1))
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
     @settings(max_examples=25, deadline=None)
@@ -1129,16 +1150,39 @@ class TestSeparableMasks:
     @example((4, pts((1, 2, 3, 4), (1, 2, 3, 4), *moment_curve(5, 4))))
     @example((5, pts(*[(i, 2 * i, 3 * i, 4 * i, 5 * i) for i in range(3)],
                      *moment_curve(7, 5)[3:])))
+    # in one dimension: a rational repeated as 1/2 and 2/4, a point at 0, and
+    # 1 beside 1 + 10^-20, whose float keys tie and the exact rule separates
+    @example((1, ((F(1, 2),), (F(3),), (F(2, 4),))))
+    @example((1, pts((2,), (0,), (-1,))))
+    @example((1, ((F(1),), (1 + F(1, 10**20),), (F(-3),), (F(7, 2),))))
     @settings(max_examples=150, deadline=None)
     def test_the_sweep_decides_general_position(self, case):
         # the sweep is None exactly on the sets the position test rejects,
-        # and otherwise gives the masks of the set as a PointSet
+        # and otherwise gives the masks of the set as a PointSet; in one
+        # dimension those are the 2n thresholds of the sorted points
         h, points = case
         lifted = [om._lift(p) for p in points]
-        masks = om._sweep(points, lifted, h)
+        masks = om._sweep(lifted, h)
         assert (masks is None) == (not om._in_general_position(lifted, h))
         if masks is not None:
             assert masks == separable_masks(PointSet(dim=h, points=points))
+        if masks is not None and h == 1:
+            below = itertools.accumulate(
+                sorted(range(len(points)), key=points.__getitem__),
+                lambda m, i: m | 1 << i, initial=0,
+            )
+            full = (1 << len(points)) - 1
+            assert masks == {m ^ flip for m in below for flip in (0, full)}
+            assert len(masks) == 2 * len(points)
+
+    def test_one_dimension_runs_no_position_test(self, monkeypatch):
+        # at h = 1 the sweep's own angular order decides general position,
+        # so neither a PointSet nor a raw draw is tested a second time
+        ps = generate_general_position(20, 1, 0)
+        calls = walk_counters(monkeypatch, "_in_general_position")
+        assert len(separable_masks(ps)) == 2 * 20
+        assert verify_formula(12, 1, 3, 13).passed
+        assert calls["_in_general_position"] == 0
 
     def test_raises_on_a_set_the_sweep_finds_dependent(self, monkeypatch):
         # only a PointSet built past its position test can be dependent;

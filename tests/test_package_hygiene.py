@@ -76,6 +76,32 @@ def test_every_import_is_used(path):
     assert unused == [], f"{path.name} never uses {unused}"
 
 
+def test_every_private_helper_is_used():
+    # no linter runs in the test suite, so this is what catches a dead helper:
+    # each module-level function whose name starts with one underscore is
+    # named in some module of the package outside its own definition.
+    # _log_binomial_row is kept as the reference the tests hold _ln_count to
+    # (see the logarithmetic docstring)
+    kept = {"_log_binomial_row"}
+    trees = {
+        p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))
+    }
+    named = [
+        (stmt, {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+         | {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)})
+        for tree in trees.values() for stmt in tree.body
+    ]
+    dead = sorted(
+        f"{name}: {stmt.name} (line {stmt.lineno})"
+        for name, tree in trees.items() for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and stmt.name.startswith("_") and not stmt.name.startswith("__")
+        and stmt.name not in kept
+        and not any(other is not stmt and stmt.name in ids for other, ids in named)
+    )
+    assert dead == [], f"private helpers that nothing uses: {dead}"
+
+
 def _readme_code_names() -> list[str]:
     """The backticked names in the README's prose that look like code: an
     identifier longer than one character that is dotted, contains an

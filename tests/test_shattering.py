@@ -253,6 +253,10 @@ class TestComplementCount:
         assert complement_count(4, 3) == 0
         assert complement_count(10, 2) == 1024 - 2 * (1 + 9 + 36)
 
+    def test_rejects_negative_dimension(self):
+        with pytest.raises(ValueError, match="h must be nonnegative"):
+            complement_count(5, -1)
+
     def test_identity_against_full_space(self):
         for n in range(1, 65):
             for h in range(0, n + 1):
@@ -369,6 +373,10 @@ class TestEpsilonCurve:
             n, HypothesisSpec(2, 1)
         )
 
+    def test_rejects_n_below_two(self):
+        with pytest.raises(ValueError, match="needs n >= 2, got 1"):
+            epsilon_curve(1, HypothesisSpec(1))
+
     @given(st.integers(3, 10**7), st.integers(0, 5), st.integers(1, 32))
     @settings(max_examples=80)
     def test_eventually_decreasing(self, n, h, p):
@@ -411,6 +419,10 @@ class TestAsymptoticCondition:
     def test_small_n_positive(self):
         got = asymptotic_condition(2, HypothesisSpec(3, 16), 0.05)
         assert got == pytest.approx(92.3601695558365, abs=1e-10)
+
+    def test_rejects_n_below_two(self):
+        with pytest.raises(ValueError, match="needs n >= 2, got 1"):
+            asymptotic_condition(1, HypothesisSpec(1), 0.05)
 
     def test_flat_space_closed_form_root(self):
         # h=0 reduces to ln2 - n*eps^2/4, crossing at n = 4*ln2/eps^2
