@@ -23,13 +23,10 @@ from .oracle import (
 )
 from .shattering import (
     HypothesisSpec,
-    asymptotic_condition,
     binom_lower_bound,
     binom_upper_bound,
     complement_count,
     epsilon_curve,
-    gamma_const,
-    psi,
     shatter_log,
     shatter_multi,
     shatter_upper_closed,
@@ -42,7 +39,6 @@ __all__ = [
     "NoBracketError",
     "PointSet",
     "SeparabilityCertificate",
-    "asymptotic_condition",
     "binom_lower_bound",
     "binom_upper_bound",
     "complement_count",
@@ -50,10 +46,8 @@ __all__ = [
     "delta_bound",
     "emit_epsilon_curve",
     "epsilon_curve",
-    "gamma_const",
     "generate_general_position",
     "is_separable",
-    "psi",
     "separable_masks",
     "shatter_log",
     "shatter_multi",

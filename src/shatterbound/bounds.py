@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .logarithmetic import LN2, LogNum
-from .shattering import (HypothesisSpec, _ln_count, _not_finite, _require_eps,
-                         epsilon_curve)
+from .shattering import HypothesisSpec, _ln_count, _not_finite, epsilon_curve
 
 __all__ = [
     "BracketTrace",
@@ -63,6 +62,11 @@ class BracketTrace:
     bisection_steps: int
     tail_probes: tuple[tuple[int, float], ...]
     delta_log_at_n: float
+
+
+def _require_eps(eps: float) -> None:
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"divergence eps must lie in (0, 1), got {eps}")
 
 
 def _log_bound(n: int, eps: float, h: int, p: int) -> float:

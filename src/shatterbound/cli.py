@@ -29,7 +29,7 @@ from .bounds import (
     solve_min_n_trace,
 )
 from .oracle import verify_formula
-from .shattering import HypothesisSpec, is_saturated, shatter_log, shatter_multi
+from .shattering import HypothesisSpec, _float, is_saturated, shatter_log, shatter_multi
 
 __all__ = ["OutputRecord", "main", "entrypoint"]
 
@@ -97,8 +97,8 @@ def log_spaced_grid(n_start: int, n_end: int, n_points: int) -> list[int]:
     ratio = n_end / n_start
     grid: list[int] = []
     for i in range(n_points):
-        v = round(n_start * ratio ** (i / (n_points - 1)))
-        v = max(n_start, min(n_end, v))
+        # clamp, then round: near the float maximum the product can be inf
+        v = max(n_start, round(min(n_start * ratio ** (i / (n_points - 1)), n_end)))
         if not grid or v > grid[-1]:
             grid.append(v)
     return grid
@@ -174,6 +174,8 @@ def cmd_curve(args) -> dict:
     # first and fails on n_start <= 0 (division by zero, negative ratio)
     _require(args.n_start >= 2, f"--n-start must be >= 2, got {args.n_start}")
     _require(args.n_end > args.n_start, "--n-end must exceed --n-start")
+    # log_spaced_grid divides n_end by n_start in floats
+    _require(_float(args.n_end) < math.inf, f"--n-end must fit a float, got {args.n_end}")
     _require(args.n_points >= 2, f"--n-points must be >= 2, got {args.n_points}")
     _require(bool(args.h_list) and bool(args.p_list),
              "--h-list and --p-list must be nonempty")

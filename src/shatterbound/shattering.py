@@ -26,10 +26,7 @@ __all__ = [
     "shatter_upper_closed",
     "binom_lower_bound",
     "binom_upper_bound",
-    "gamma_const",
     "epsilon_curve",
-    "psi",
-    "asymptotic_condition",
     "is_saturated",
 ]
 
@@ -56,13 +53,6 @@ def _require_positive_n(n: int) -> None:
 def _not_finite(n: int | None, h: int, p: int, what: str = "log count") -> ValueError:
     at = f"h={h}, p={p}" if n is None else f"n={n}, h={h}, p={p}"
     return ValueError(f"{what} is not a finite float at {at}")
-
-
-def _finite(x: float, n: int | None, h: int, p: int, what: str) -> float:
-    """x, or _not_finite's ValueError when x is inf or NaN."""
-    if not math.isfinite(x):
-        raise _not_finite(n, h, p, what)
-    return x
 
 
 def _float(k: int) -> float:
@@ -143,9 +133,15 @@ def complement_count(n: int, h: int) -> int:
     return 2 * sum(_binomial_row(n - 1, n - 2 - h))
 
 
-def _hyperplane_series_core_log(n: int, h: int) -> float:
-    """ln of 2e(n-1) * (e^h (n-1)^h - 1) / (e(n-1) - 1), the geometric-series
-    closed form of 2 * sum_{i=1}^{h} (e(n-1))^i. Requires n >= 2, h >= 1."""
+def shatter_upper_closed(n: int, spec: HypothesisSpec) -> LogNum:
+    """ln of [2e(n-1)(e^h (n-1)^h - 1)/(e(n-1) - 1) + 2]**p.
+
+    Dominates shatter_log for every n >= 2: each binomial is bounded by
+    (e(n-1)/i)^i <= (e(n-1))^i and the resulting geometric series
+    2 * sum_{i=1}^{h} (e(n-1))^i is summed in closed form. Requires h >= 1;
+    ValueError when the log leaves the float range (a huge p or h).
+    """
+    h, p = spec.h, spec.p
     if n < 2:
         raise ValueError(f"closed-form bound needs n >= 2, got {n}")
     if h < 1:
@@ -156,18 +152,11 @@ def _hyperplane_series_core_log(n: int, h: int) -> float:
     t = _float(h) * ln_ratio
     ln_numer = t + math.log1p(-math.exp(-t))
     ln_denom = ln_ratio + math.log1p(-math.exp(-ln_ratio))
-    return LN2 + ln_ratio + ln_numer - ln_denom
-
-
-def shatter_upper_closed(n: int, spec: HypothesisSpec) -> LogNum:
-    """ln of [2e(n-1)(e^h (n-1)^h - 1)/(e(n-1) - 1) + 2]**p.
-
-    Dominates shatter_log for every n >= 2: each binomial is bounded by
-    (e(n-1)/i)^i <= (e(n-1))^i and the resulting geometric series is summed
-    in closed form. ValueError when the log leaves the float range (a huge p).
-    """
-    bracket = _log_add(_hyperplane_series_core_log(n, spec.h), LN2)
-    return LogNum(_finite(_float(spec.p) * bracket, n, spec.h, spec.p, "log count"))
+    bracket = _log_add(LN2 + ln_ratio + ln_numer - ln_denom, LN2)  # series + 2
+    value = _float(p) * bracket
+    if not math.isfinite(value):
+        raise _not_finite(n, h, p)
+    return LogNum(value)
 
 
 def binom_lower_bound(m: int, k: int) -> LogNum:
@@ -197,24 +186,19 @@ def _sandwich_log(m: int, k: int, shift: float) -> float:
     return value
 
 
-def gamma_const(spec: HypothesisSpec) -> float:
-    """The constant p*ln(2) + h*p collecting the n-free terms of the bound;
-    ValueError when it leaves the float range (a huge p)."""
-    h, p = spec.h, spec.p
-    return _finite(_float(p) * LN2 + _float(h * p), None, h, p, "gamma")
-
-
 def epsilon_curve(n: int, spec: HypothesisSpec) -> float:
-    """Divergence eps(n) = 2*sqrt(h*p*ln(n) + gamma) / sqrt(n).
+    """Divergence eps(n) = 2*sqrt(h*p*ln(n) + gamma) / sqrt(n), with the
+    constant gamma = p*ln(2) + h*p collecting the n-free terms of the bound.
 
-    The eps at which the exponential and polynomial parts of the bound
-    balance; grows with h and p, eventually decays in n. ValueError when it
-    leaves the float range (a huge p).
+    The eps at which ln N(n), taken as its asymptotic form, meets n*eps^2/4:
+    the paper's balance of the exponential and polynomial parts of the
+    bound, which carries no delta. Grows with h and p, eventually decays in
+    n. ValueError when it leaves the float range (a huge p).
     """
     if n < 2:
         raise ValueError(f"divergence curve needs n >= 2, got {n}")
     h, p = spec.h, spec.p
-    # gamma and the check inline: emit_epsilon_curve calls this once per value
+    # one expression and one check: emit_epsilon_curve calls this once per value
     try:
         eps = 2.0 * math.sqrt(h * p * math.log(n) + (p * LN2 + h * p)) / math.sqrt(n)
     except OverflowError:  # an int past the float range
@@ -222,33 +206,3 @@ def epsilon_curve(n: int, spec: HypothesisSpec) -> float:
     if not math.isfinite(eps):
         raise _not_finite(n, h, p, "divergence eps")
     return eps
-
-
-def _require_eps(eps: float) -> None:
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"divergence eps must lie in (0, 1), got {eps}")
-
-
-def psi(n: int, spec: HypothesisSpec, eps: float) -> float:
-    """Signed convergence margin of the closed-form bound.
-
-    psi = p * ln(2e(n-1)(e^h (n-1)^h - 1)/(e(n-1) - 1)) - n*eps^2/4.
-    Negative psi means the exponential envelope shrinks to zero. ValueError
-    when it leaves the float range (a huge p, h or n).
-    """
-    _require_eps(eps)
-    core = _hyperplane_series_core_log(n, spec.h)
-    value = _float(spec.p) * core - _float(n) * eps * eps / 4.0
-    return _finite(value, n, spec.h, spec.p, "psi")
-
-
-def asymptotic_condition(n: int, spec: HypothesisSpec, eps: float) -> float:
-    """p*ln(2) + h*p + h*p*ln(n) - n*eps^2/4; negative once learning is
-    ensured. ValueError when it leaves the float range (a huge p or n)."""
-    if n < 2:
-        raise ValueError(f"asymptotic condition needs n >= 2, got {n}")
-    _require_eps(eps)
-    h, p = spec.h, spec.p
-    hp = _float(h * p)
-    value = _float(p) * LN2 + hp + hp * math.log(n) - _float(n) * eps * eps / 4.0
-    return _finite(value, n, h, p, "asymptotic condition")

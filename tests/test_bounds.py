@@ -358,6 +358,40 @@ class TestEmitEpsilonCurve:
             emit_epsilon_curve([9, 3], [HypothesisSpec(1, 1)])
 
 
+class TestEpsilonCurveImpliedDelta:
+    """epsilon_curve carries no delta: at its eps = 0.05 crossing the bound's
+    confidence differs by hundreds of orders of magnitude between families."""
+
+    @staticmethod
+    def crossing(spec, eps=0.05):
+        # epsilon_curve decreases from n = 2 on, so bisection finds the first n
+        lo, hi = 2, 10**8
+        while lo + 1 < hi:
+            mid = (lo + hi) // 2
+            if epsilon_curve(mid, spec) <= eps:
+                hi = mid
+            else:
+                lo = mid
+        assert epsilon_curve(hi - 1, spec) > eps >= epsilon_curve(hi, spec)
+        return hi
+
+    @pytest.mark.parametrize("h, p, n, delta_log", [
+        (1, 1, 18424, -0.3072961974),
+        (2, 4, 171507, -12.15920444),
+        (3, 16, 1167468, -86.37274214),
+        (4, 64, 6932487, -502.3709477),
+    ], ids=["h1-p1", "h2-p4", "h3-p16", "h4-p64"])
+    def test_delta_at_the_crossing(self, h, p, n, delta_log):
+        spec = HypothesisSpec(h, p)
+        assert self.crossing(spec) == n
+        assert delta_bound(n, 0.05, spec).log_value == pytest.approx(delta_log, rel=1e-9)
+
+    def test_headline_crossing_near_the_solver_answer(self):
+        n_star = solve_min_n(0.01, 0.05, HypothesisSpec(3, 16))
+        assert n_star == 1026778
+        assert 0.5 * n_star <= self.crossing(HypothesisSpec(3, 16)) <= 2 * n_star
+
+
 class TestCurveRow:
     def test_fields_in_order(self):
         assert CurveRow._fields == ("n", "h", "p", "epsilon")

@@ -529,14 +529,33 @@ class TestNPastTheFloatRange:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("argv, what", [
-        (["bound", "--n", BIG, "--eps", "0.1", "--h", "1"], "log bound"),
-        (["solve-eps", "--n", BIG, "--delta", "0.1", "--h", "1"], "sample size n"),
-    ], ids=["bound", "solve-eps"])
-    def test_the_error_names_the_inputs(self, capsys, argv, what):
+    @pytest.mark.parametrize("argv, message", [
+        (["bound", "--n", BIG, "--eps", "0.1", "--h", "1"],
+         f"log bound is not a finite float at n={BIG}, h=1, p=1"),
+        (["solve-eps", "--n", BIG, "--delta", "0.1", "--h", "1"],
+         f"sample size n is not a finite float at n={BIG}, h=1, p=1"),
+        (["curve", "--n-start", "2", "--n-end", BIG, "--n-points", "3",
+          "--h-list", "1", "--p-list", "1", "--out", "c.csv"],
+         f"--n-end must fit a float, got {BIG}"),
+    ], ids=["bound", "solve-eps", "curve"])
+    def test_the_error_names_the_inputs(self, capsys, tmp_path, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err == f"error: {what} is not a finite float at n={self.BIG}, h=1, p=1\n"
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("n_start", [2, 3, 7])
+    def test_curve_grid_ends_at_the_float_maximum(self, capsys, tmp_path, n_start):
+        # n_start times the float ratio n_end / n_start can round to inf at
+        # the last point; the grid clamps it to n_end before rounding
+        n_end = int(sys.float_info.max)
+        out_file = tmp_path / "c.csv"
+        code, _, err = run_cli(capsys, "curve", "--n-start", str(n_start),
+                               "--n-end", str(n_end), "--n-points", "3",
+                               "--h-list", "1", "--p-list", "1", "--out", str(out_file))
+        assert (code, err) == (0, "")
+        ns = [int(row.split(",")[0]) for row in out_file.read_text().splitlines()[1:]]
+        assert (ns[0], ns[-1]) == (n_start, n_end)
 
 
 class TestParserIsBuiltOnce:

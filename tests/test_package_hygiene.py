@@ -143,6 +143,15 @@ def test_readme_names_resolve():
     assert unresolved == [], f"README.md names {unresolved}"
 
 
+def test_every_export_is_documented():
+    # a public name the README never mentions is one a reader cannot find;
+    # a library example counts as a mention
+    text = README.read_text(encoding="utf-8")
+    missing = [name for name in shatterbound.__all__
+               if not re.search(rf"\b{name}\b", text)]
+    assert missing == [], f"README.md never names {missing}"
+
+
 @pytest.mark.parametrize(
     "path",
     [p for p in sorted(SRC.glob("*.py")) if p.name != "rational_lp.py"],

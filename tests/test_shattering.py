@@ -11,14 +11,11 @@ from shatterbound.shattering import (
     _LN_I,
     _LN_I_END,
     _ln_count,
-    asymptotic_condition,
     binom_lower_bound,
     binom_upper_bound,
     complement_count,
     epsilon_curve,
-    gamma_const,
     is_saturated,
-    psi,
     shatter_log,
     shatter_multi,
     shatter_upper_closed,
@@ -117,11 +114,8 @@ class TestFloatFold:
 
     @pytest.mark.parametrize("p", [10**308, 10**400], ids=["1e308", "1e400"])
     @pytest.mark.parametrize("call, at", [
-        (gamma_const, "h=3"),
         (lambda spec: epsilon_curve(100, spec), "n=100, h=3"),
-        (lambda spec: psi(100, spec, 0.1), "n=100, h=3"),
-        (lambda spec: asymptotic_condition(100, spec, 0.1), "n=100, h=3"),
-    ], ids=["gamma_const", "epsilon_curve", "psi", "asymptotic_condition"])
+    ], ids=["epsilon_curve"])
     def test_curve_functions_past_the_float_range_raise(self, call, at, p):
         # at 10**308, h * p or p times a log leaves the float range (as inf
         # or as an OverflowError converting h * p); at 10**400 p itself does
@@ -129,24 +123,14 @@ class TestFloatFold:
             call(HypothesisSpec(3, p))
 
     @pytest.mark.parametrize("call", [
-        lambda spec: psi(100, spec, 0.1),
         lambda spec: shatter_upper_closed(100, spec),
-    ], ids=["psi", "shatter_upper_closed"])
+    ], ids=["shatter_upper_closed"])
     def test_closed_form_with_h_past_the_float_range_raises(self, call):
         # 10**400 * ln(e(n-1)) would raise OverflowError converting h; the
         # closed form takes the product as inf and reports it like a huge p
         h = 10**400
         with pytest.raises(ValueError, match=rf"not a finite float at n=100, h={h}, p=1$"):
             call(HypothesisSpec(h, 1))
-
-    @pytest.mark.parametrize("call", [psi, asymptotic_condition],
-                             ids=["psi", "asymptotic_condition"])
-    def test_margin_with_n_past_the_float_range_raises(self, call):
-        # n * eps^2 / 4 would raise OverflowError converting n; the margin
-        # takes the product as inf and reports it like a huge p
-        n = 10**400
-        with pytest.raises(ValueError, match=rf"not a finite float at n={n}, h=3, p=1$"):
-            call(n, HypothesisSpec(3, 1), 0.1)
 
     @pytest.mark.parametrize("n,h", [(1, 3), (2, 3), (100, 0)])
     def test_huge_p_with_unit_binomials_stays_exact(self, n, h):
@@ -279,9 +263,9 @@ class TestClosedFormUpperBound:
                     )
 
     def test_rejects_small_n_and_flat_h(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="closed-form bound needs n >= 2, got 1"):
             shatter_upper_closed(1, HypothesisSpec(2, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs h >= 1, got 0"):
             shatter_upper_closed(5, HypothesisSpec(0, 1))
 
     @pytest.mark.parametrize("p", [10**308, 10**400], ids=["1e308", "1e400"])
@@ -341,19 +325,6 @@ class TestBinomialSandwich:
                 binom_upper_bound(m, k)
 
 
-class TestGammaConst:
-    def test_values(self):
-        assert gamma_const(HypothesisSpec(3, 16)) == pytest.approx(
-            59.090354888959125, abs=1e-12
-        )
-        assert gamma_const(HypothesisSpec(0, 1)) == pytest.approx(
-            math.log(2), abs=1e-15
-        )
-        assert gamma_const(HypothesisSpec(1, 1)) == pytest.approx(
-            math.log(2) + 1, abs=1e-15
-        )
-
-
 class TestEpsilonCurve:
     def test_headline_value(self):
         got = epsilon_curve(10**6, HypothesisSpec(3, 16))
@@ -382,64 +353,3 @@ class TestEpsilonCurve:
     def test_eventually_decreasing(self, n, h, p):
         spec = HypothesisSpec(h, p)
         assert epsilon_curve(n + 1, spec) < epsilon_curve(n, spec)
-
-
-class TestPsi:
-    def test_small_n_positive(self):
-        got = psi(2, HypothesisSpec(1, 1), 0.05)
-        assert got == pytest.approx(1.6918971805599453, abs=1e-12)
-        assert got > 0
-
-    def test_large_n_negative(self):
-        assert psi(10**7, HypothesisSpec(3, 16), 0.05) < 0
-
-    def test_sign_change_bracket(self):
-        spec = HypothesisSpec(3, 16)
-        lo, hi = 10**3, 10**7
-        assert psi(lo, spec, 0.05) > 0
-        assert psi(hi, spec, 0.05) < 0
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if psi(mid, spec, 0.05) > 0:
-                lo = mid
-            else:
-                hi = mid
-        assert psi(hi, spec, 0.05) < 0 < psi(hi - 1, spec, 0.05)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            psi(1, HypothesisSpec(1, 1), 0.05)
-        with pytest.raises(ValueError):
-            psi(5, HypothesisSpec(0, 1), 0.05)
-        with pytest.raises(ValueError):
-            psi(5, HypothesisSpec(1, 1), 1.5)
-
-
-class TestAsymptoticCondition:
-    def test_small_n_positive(self):
-        got = asymptotic_condition(2, HypothesisSpec(3, 16), 0.05)
-        assert got == pytest.approx(92.3601695558365, abs=1e-10)
-
-    def test_rejects_n_below_two(self):
-        with pytest.raises(ValueError, match="needs n >= 2, got 1"):
-            asymptotic_condition(1, HypothesisSpec(1), 0.05)
-
-    def test_flat_space_closed_form_root(self):
-        # h=0 reduces to ln2 - n*eps^2/4, crossing at n = 4*ln2/eps^2
-        eps = 0.05
-        root = 4 * math.log(2) / eps**2
-        spec = HypothesisSpec(0, 1)
-        assert asymptotic_condition(math.floor(root), spec, eps) > 0
-        assert asymptotic_condition(math.ceil(root) + 1, spec, eps) < 0
-
-    def test_root_near_exact_solver_answer(self):
-        # asymptotic-form root should land within a factor of two of ~1.0e6
-        spec = HypothesisSpec(3, 16)
-        lo, hi = 2, 10**8
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if asymptotic_condition(mid, spec, 0.05) > 0:
-                lo = mid
-            else:
-                hi = mid
-        assert 0.5 * 1.02678e6 <= hi <= 2 * 1.02678e6
