@@ -286,6 +286,14 @@ class TestCurve:
         grid = log_spaced_grid(100, 10**7, 12)
         assert len(grid) == 12
 
+    @pytest.mark.parametrize("n_start", [3, 7, 10**6, 10**20])
+    def test_grid_helper_ends_at_the_float_maximum(self, n_start):
+        # n_start * ratio rounds to inf at the last point for these starts
+        n_end = int(sys.float_info.max)
+        grid = log_spaced_grid(n_start, n_end, 3)
+        assert (grid[0], grid[-1]) == (n_start, n_end)
+        assert all(b > a for a, b in zip(grid, grid[1:]))
+
 
 class TestVerify:
     def test_pass_case(self, capsys):

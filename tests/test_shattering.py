@@ -132,6 +132,15 @@ class TestFloatFold:
         with pytest.raises(ValueError, match=rf"not a finite float at n=100, h={h}, p=1$"):
             call(HypothesisSpec(h, 1))
 
+    @pytest.mark.parametrize("call", [epsilon_curve], ids=["asymptotic_condition"])
+    def test_margin_with_n_past_the_float_range_raises(self, call):
+        # the asymptotic condition balances at epsilon_curve; sqrt(n) would
+        # raise OverflowError converting n, so the curve takes it as inf and
+        # reports it like a huge p
+        n = 10**400
+        with pytest.raises(ValueError, match=rf"not a finite float at n={n}, h=3, p=1$"):
+            call(n, HypothesisSpec(3, 1))
+
     @pytest.mark.parametrize("n,h", [(1, 3), (2, 3), (100, 0)])
     def test_huge_p_with_unit_binomials_stays_exact(self, n, h):
         # every C(n-1, i) in the sum is 1, so the count is 2(min(h, n-1) + 1)
@@ -325,6 +334,25 @@ class TestBinomialSandwich:
                 binom_upper_bound(m, k)
 
 
+class TestGammaConst:
+    """gamma = p*ln(2) + h*p, the n-free part of epsilon_curve's radicand."""
+
+    @staticmethod
+    def gamma(spec, n=4):
+        return n * epsilon_curve(n, spec) ** 2 / 4 - spec.h * spec.p * math.log(n)
+
+    def test_values(self):
+        assert self.gamma(HypothesisSpec(3, 16)) == pytest.approx(
+            59.090354888959125, abs=1e-12
+        )
+        assert self.gamma(HypothesisSpec(0, 1)) == pytest.approx(
+            math.log(2), abs=1e-15
+        )
+        assert self.gamma(HypothesisSpec(1, 1)) == pytest.approx(
+            math.log(2) + 1, abs=1e-15
+        )
+
+
 class TestEpsilonCurve:
     def test_headline_value(self):
         got = epsilon_curve(10**6, HypothesisSpec(3, 16))
@@ -353,3 +381,41 @@ class TestEpsilonCurve:
     def test_eventually_decreasing(self, n, h, p):
         spec = HypothesisSpec(h, p)
         assert epsilon_curve(n + 1, spec) < epsilon_curve(n, spec)
+
+
+class TestAsymptoticCondition:
+    """The condition ln N(n) - n*eps^2/4 < 0, with ln N(n) in its asymptotic
+    form h*p*ln(n) + gamma. epsilon_curve is the eps at which it is zero, so
+    the margin at eps is n*(epsilon_curve(n)^2 - eps^2)/4."""
+
+    @staticmethod
+    def margin(n, spec, eps):
+        return n * (epsilon_curve(n, spec) ** 2 - eps * eps) / 4
+
+    def test_small_n_positive(self):
+        got = self.margin(2, HypothesisSpec(3, 16), 0.05)
+        assert got == pytest.approx(92.3601695558365, abs=1e-10)
+
+    def test_rejects_n_below_two(self):
+        with pytest.raises(ValueError, match="needs n >= 2, got 1"):
+            self.margin(1, HypothesisSpec(1), 0.05)
+
+    def test_flat_space_closed_form_root(self):
+        # h=0 reduces to ln2 - n*eps^2/4, crossing at n = 4*ln2/eps^2
+        eps = 0.05
+        root = 4 * math.log(2) / eps**2
+        spec = HypothesisSpec(0, 1)
+        assert self.margin(math.floor(root), spec, eps) > 0
+        assert self.margin(math.ceil(root) + 1, spec, eps) < 0
+
+    def test_root_near_exact_solver_answer(self):
+        # asymptotic-form root should land within a factor of two of ~1.0e6
+        spec = HypothesisSpec(3, 16)
+        lo, hi = 2, 10**8
+        while lo + 1 < hi:
+            mid = (lo + hi) // 2
+            if self.margin(mid, spec, 0.05) > 0:
+                lo = mid
+            else:
+                hi = mid
+        assert 0.5 * 1.02678e6 <= hi <= 2 * 1.02678e6
