@@ -13,12 +13,11 @@ delta, and inverts for the largest eps a given (n, delta) supports.
 
 from __future__ import annotations
 
-import collections
 import math
 from dataclasses import dataclass
 
 from .logarithmetic import LN2, LogNum
-from .shattering import HypothesisSpec, _ln_count, _not_finite, epsilon_curve
+from .shattering import CurveRow, HypothesisSpec, _curve_rows, _ln_count, _not_finite
 
 __all__ = [
     "BracketTrace",
@@ -186,21 +185,13 @@ def solve_max_eps(n: int, delta: float, spec: HypothesisSpec) -> float:
         raise _not_finite(n, spec.h, spec.p, "sample size n") from None
 
 
-# a named tuple, not a frozen dataclass: a curve builds one row per (n, spec),
-# and a tuple is the cheapest immutable record with named fields
-CurveRow = collections.namedtuple("CurveRow", "n h p epsilon")
-
-
 def emit_epsilon_curve(
     n_grid: list[int], specs: list[HypothesisSpec]
 ) -> list[CurveRow]:
-    """One divergence value per (n, spec); rows ordered by (h, p, n)."""
+    """One divergence value per (n, spec), each the one epsilon_curve gives;
+    rows ordered by (h, p, n)."""
     if not n_grid:
         raise ValueError("n_grid must be nonempty")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ValueError("n_grid must be strictly ascending")
-    rows = []
-    for spec in sorted(specs, key=lambda s: (s.h, s.p)):
-        for n in n_grid:
-            rows.append(CurveRow(n, spec.h, spec.p, epsilon_curve(n, spec)))
-    return rows
+    return _curve_rows(n_grid, sorted(specs, key=lambda s: (s.h, s.p)))

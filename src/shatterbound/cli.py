@@ -84,12 +84,17 @@ def sci_from_log(log_value: float) -> str:
 
 
 def _int_list(text: str) -> list[int]:
-    # argparse reports this error with the option's name
+    # argparse reports these errors with the option's name
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        values = [int(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from exc
+    # a repeated h or p would repeat its family's rows
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(
+            f"expected distinct integers, got {text!r}")
+    return values
 
 
 def log_spaced_grid(n_start: int, n_end: int, n_points: int) -> list[int]:
@@ -177,6 +182,11 @@ def cmd_curve(args) -> dict:
     # log_spaced_grid divides n_end by n_start in floats
     _require(_float(args.n_end) < math.inf, f"--n-end must fit a float, got {args.n_end}")
     _require(args.n_points >= 2, f"--n-points must be >= 2, got {args.n_points}")
+    # log_spaced_grid takes n_points steps, whatever the distinct points
+    span = args.n_end - args.n_start + 1
+    _require(args.n_points <= span,
+             f"--n-points must not exceed the {span} integers from --n-start "
+             f"to --n-end, got {args.n_points}")
     _require(bool(args.h_list) and bool(args.p_list),
              "--h-list and --p-list must be nonempty")
     specs = [HypothesisSpec(h=h, p=p) for h in args.h_list for p in args.p_list]

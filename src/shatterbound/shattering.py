@@ -13,12 +13,14 @@ divergence curve eps(n) that the convergence condition induces.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 
 from .logarithmetic import LN2, LogNum, _binomial_row, _log_add
 
 __all__ = [
+    "CurveRow",
     "HypothesisSpec",
     "shatter_multi",
     "shatter_log",
@@ -186,6 +188,53 @@ def _sandwich_log(m: int, k: int, shift: float) -> float:
     return value
 
 
+# a named tuple, not a frozen dataclass: a curve builds one row per (n, spec),
+# and a tuple is the cheapest immutable record with named fields
+CurveRow = collections.namedtuple("CurveRow", "n h p epsilon")
+
+
+def _curve_rows(n_grid: list[int], specs: list[HypothesisSpec]) -> list[CurveRow]:
+    """The divergence curve's one evaluation: a CurveRow per (n, spec), the
+    specs in their given order and n along the grid, which must ascend. ln n
+    and sqrt n are taken once per grid point, h*p and gamma once per spec, and
+    each row computes 2*sqrt(h*p*ln n + gamma)/sqrt n from them, operation for
+    operation, so each eps is the one the per-point expression gives.
+    ValueError at the first row, in that order, whose n is below 2 or whose
+    eps is not a finite float."""
+    if not specs:
+        return []
+    if n_grid[0] < 2:
+        raise ValueError(f"divergence curve needs n >= 2, got {n_grid[0]}")
+    points = []
+    for n in n_grid:
+        try:
+            points.append((n, math.log(n), math.sqrt(n)))
+        except OverflowError:
+            # math.sqrt converts n to a float; every later n is larger, and
+            # the rows of these n go missing like any other row that is not
+            # finite
+            break
+    sqrt, isfinite, new_row = math.sqrt, math.isfinite, tuple.__new__
+    rows: list[CurveRow] = []
+    for spec in specs:
+        h, p = spec.h, spec.p
+        try:
+            # the conversions that h*p*ln n and p*ln 2 + h*p make
+            hp = float(h * p)
+            gamma = p * LN2 + hp
+        except OverflowError:  # an int past the float range fails every row
+            raise _not_finite(n_grid[0], h, p, "divergence eps") from None
+        # tuple.__new__ skips the named tuple's Python-level __new__
+        family = [new_row(CurveRow, (n, h, p, eps)) for n, ln_n, sqrt_n in points
+                  if isfinite(eps := 2.0 * sqrt(hp * ln_n + gamma) / sqrt_n)]
+        if len(family) < len(n_grid):
+            kept = {row.n for row in family}
+            n = next(n for n in n_grid if n not in kept)
+            raise _not_finite(n, h, p, "divergence eps")
+        rows += family
+    return rows
+
+
 def epsilon_curve(n: int, spec: HypothesisSpec) -> float:
     """Divergence eps(n) = 2*sqrt(h*p*ln(n) + gamma) / sqrt(n), with the
     constant gamma = p*ln(2) + h*p collecting the n-free terms of the bound.
@@ -193,16 +242,7 @@ def epsilon_curve(n: int, spec: HypothesisSpec) -> float:
     The eps at which ln N(n), taken as its asymptotic form, meets n*eps^2/4:
     the paper's balance of the exponential and polynomial parts of the
     bound, which carries no delta. Grows with h and p, eventually decays in
-    n. ValueError when it leaves the float range (a huge p).
+    n. The curve kernel's one-point case. ValueError for n below 2, or when
+    eps leaves the float range (a huge p).
     """
-    if n < 2:
-        raise ValueError(f"divergence curve needs n >= 2, got {n}")
-    h, p = spec.h, spec.p
-    # one expression and one check: emit_epsilon_curve calls this once per value
-    try:
-        eps = 2.0 * math.sqrt(h * p * math.log(n) + (p * LN2 + h * p)) / math.sqrt(n)
-    except OverflowError:  # an int past the float range
-        eps = math.inf
-    if not math.isfinite(eps):
-        raise _not_finite(n, h, p, "divergence eps")
-    return eps
+    return _curve_rows([n], [spec])[0].epsilon

@@ -7,7 +7,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shatterbound.bounds import (
@@ -356,6 +356,83 @@ class TestEmitEpsilonCurve:
             emit_epsilon_curve([5, 5], [HypothesisSpec(1, 1)])
         with pytest.raises(ValueError):
             emit_epsilon_curve([9, 3], [HypothesisSpec(1, 1)])
+
+
+def per_point_epsilon(n, h, p):
+    """The curve's per-point evaluation as it stood before the batched kernel:
+    one n check, one expression, one finiteness check."""
+    if n < 2:
+        raise ValueError(f"divergence curve needs n >= 2, got {n}")
+    try:
+        eps = 2.0 * math.sqrt(h * p * math.log(n) + (p * math.log(2.0) + h * p)) / math.sqrt(n)
+    except OverflowError:  # an int past the float range
+        eps = math.inf
+    if not math.isfinite(eps):
+        raise ValueError(f"divergence eps is not a finite float at n={n}, h={h}, p={p}")
+    return eps
+
+
+def outcome(call):
+    """What a call returns, or the type and message of the exception it raises."""
+    try:
+        return call()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def hexed(rows):
+    """Each row with its type and its eps as float.hex."""
+    return [(type(r), r.n, r.h, r.p, r.epsilon.hex()) for r in rows]
+
+
+# ascending grids in 2..2^63-1, some led by 1 and some ending past the float
+# range, where math.sqrt(n) raises
+curve_grids = st.tuples(
+    st.booleans(),
+    st.lists(st.integers(2, 2**63 - 1), min_size=1, max_size=6, unique=True),
+    st.booleans(),
+).map(lambda t: [1] * t[0] + sorted(t[1]) + [10**400] * t[2])
+# h * p or p * ln 2 past the float range at 10**308 and 10**400; at h = 1,
+# p = 10**307 the radicand overflows only from n of about 10**7 on
+curve_specs = st.lists(st.builds(
+    HypothesisSpec,
+    st.one_of(st.integers(0, 8), st.just(10**400)),
+    st.one_of(st.integers(1, 64), st.sampled_from([10**307, 10**308, 10**400])),
+), max_size=4)
+
+
+class TestCurveKernel:
+    """emit_epsilon_curve against the per-point expression, bit for bit, and
+    its errors at the first failing row in (h, p, n) order."""
+
+    @given(curve_grids, curve_specs)
+    @settings(max_examples=300, deadline=None)
+    @example([1, 10], [])
+    @example([2, 10**6, 10**8, 10**400], [HypothesisSpec(0, 10**308),
+                                          HypothesisSpec(1, 10**307)])
+    def test_matches_the_per_point_expression(self, grid, specs):
+        def reference():
+            return hexed(CurveRow(n, s.h, s.p, per_point_epsilon(n, s.h, s.p))
+                         for s in sorted(specs, key=lambda s: (s.h, s.p)) for n in grid)
+
+        assert outcome(lambda: hexed(emit_epsilon_curve(grid, specs))) == outcome(reference)
+        # epsilon_curve is the kernel's one-point case
+        for s in specs[:2]:
+            for n in (grid[0], grid[-1]):
+                want = outcome(lambda: per_point_epsilon(n, s.h, s.p).hex())
+                assert outcome(lambda: epsilon_curve(n, s).hex()) == want
+
+    @pytest.mark.parametrize("grid, specs, message", [
+        ([2, 10**6, 10**8], [HypothesisSpec(1, 10**307)],
+         f"divergence eps is not a finite float at n={10**8}, h=1, p={10**307}"),
+        ([2, 10**400], [HypothesisSpec(0, 1), HypothesisSpec(3, 1)],
+         f"divergence eps is not a finite float at n={10**400}, h=0, p=1"),
+        ([5, 7], [HypothesisSpec(2, 1), HypothesisSpec(1, 10**400)],
+         f"divergence eps is not a finite float at n=5, h=1, p={10**400}"),
+        ([1, 7], [HypothesisSpec(1, 10**400)], "divergence curve needs n >= 2, got 1"),
+    ], ids=["radicand-later", "sqrt-n", "p-ln2", "n-below-2"])
+    def test_errors_name_the_first_failing_row(self, grid, specs, message):
+        assert outcome(lambda: emit_epsilon_curve(grid, specs)) == (ValueError, message)
 
 
 class TestEpsilonCurveImpliedDelta:

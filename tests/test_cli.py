@@ -270,7 +270,9 @@ class TestCurve:
     @pytest.mark.parametrize("h_list, p_list, message", [
         ("1,x", "1", "argument --h-list: expected comma-separated integers, got '1,x'"),
         ("1", "", "--h-list and --p-list must be nonempty"),
-    ], ids=["malformed", "empty"])
+        ("2,2", "1", "argument --h-list: expected distinct integers, got '2,2'"),
+        ("1,2", "4,1,4", "argument --p-list: expected distinct integers, got '4,1,4'"),
+    ], ids=["malformed", "empty", "repeated-h", "repeated-p"])
     def test_bad_list_exit_1(self, capsys, tmp_path, h_list, p_list, message):
         code, out, err = run_cli(
             capsys, "curve", "--n-start", "10", "--n-end", "100", "--n-points", "3",
@@ -278,6 +280,35 @@ class TestCurve:
         )
         assert (code, out, err) == (1, "", f"error: {message}\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n_points, span", [(1000, 999), (10**12, 999)],
+                             ids=["one-past", "huge"])
+    def test_more_points_than_integers_exit_1(self, capsys, tmp_path, monkeypatch,
+                                              n_points, span):
+        # refused before any grid work: log_spaced_grid takes n_points steps
+        def no_grid(*args):
+            raise AssertionError("log_spaced_grid ran")
+
+        monkeypatch.setattr("shatterbound.cli.log_spaced_grid", no_grid)
+        code, out, err = run_cli(
+            capsys, "curve", "--n-start", "2", "--n-end", "1000",
+            "--n-points", str(n_points), "--h-list", "1", "--p-list", "1",
+            "--out", str(tmp_path / "c.csv"),
+        )
+        message = (f"--n-points must not exceed the {span} integers from --n-start "
+                   f"to --n-end, got {n_points}")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_point_per_integer_is_the_whole_range(self, capsys, tmp_path):
+        out_path = tmp_path / "c.csv"
+        code, _, _ = run_cli(
+            capsys, "curve", "--n-start", "2", "--n-end", "1000", "--n-points", "999",
+            "--h-list", "1", "--p-list", "1", "--out", str(out_path),
+        )
+        assert code == 0
+        ns = [int(line.split(",")[0]) for line in out_path.read_text().splitlines()[1:]]
+        assert ns[0] == 2 and ns[-1] == 1000 and len(ns) == len(set(ns))
 
     def test_grid_helper_dedups_and_stays_in_range(self):
         grid = log_spaced_grid(10, 20, 40)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -76,6 +77,42 @@ class TestShatterMulti:
             + math.comb(9, 3) ** 16
         )
         assert shatter_multi(10, HypothesisSpec(h=3, p=16)) == expected
+
+
+def threshold_labelings(n, p):
+    """Every labeling of n points on a line that a Boolean function of p
+    threshold bits realizes, by brute force. A threshold splits the ordered
+    points at a cut 0..n, which puts the first c on one side; a multiset of
+    p cuts gives each point a code of p bits, and a function of those bits
+    is a truth table over the 2^p codes. Flipping a threshold's side negates
+    its bit, which some other table absorbs, so one side per cut suffices."""
+    labelings = set()
+    for cuts in itertools.combinations_with_replacement(range(n + 1), p):
+        codes = [sum((x >= c) << j for j, c in enumerate(cuts)) for x in range(n)]
+        for table in range(2 ** 2 ** p):
+            labelings.add(tuple(table >> code & 1 for code in codes))
+    return labelings
+
+
+class TestThresholdsOnALine:
+    """At h = 1 every n distinct points have one order type, so p thresholds
+    realize the same labelings on any of them: those with at most p sign
+    changes along the line, 2 * sum_{i<=p} C(n-1, i). The published p-plane
+    count 2 * (1 + (n-1)^p) bounds it, equal at p = 1 and loose for p >= 2
+    once n >= 3."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_brute_force_count_is_at_most_p_sign_changes(self, p):
+        for n in range(1, 9):
+            count = len(threshold_labelings(n, p))
+            assert count == 2 * sum(math.comb(n - 1, i) for i in range(p + 1))
+            formula = shatter_multi(n, HypothesisSpec(1, p))
+            assert count <= formula
+            assert (count == formula) == (p == 1 or n <= 2)
+
+    def test_slack_at_eight_points_and_three_planes(self):
+        assert len(threshold_labelings(8, 3)) == 128
+        assert shatter_multi(8, HypothesisSpec(1, 3)) == 688
 
 
 class TestShatterLog:
