@@ -3,25 +3,27 @@
 Two independent checks of the counting formula 2 * sum_{i<=h} C(n-1, i):
 generate n points in general position in dimension h, and find the label
 vectors in {-1,+1}^n whose classes some affine hyperplane strictly
-separates, in two exact ways that share only the point set. A labeling is
-one int whose bit i is set when point i is labelled +1. Each point x is also
-kept as its integer lift k * (x, 1), the same ray as (x, 1), with k the lcm
-of x's denominators. One walk over index subsets extends a fraction-free
-elimination of the lifted rows along each prefix of h - 2 points and yields
-the prefix's 3-D complement to the loop over it, which projects the other
-rows onto it once (in two dimensions the prefix is empty, and the lifted
-rows are their own projections). The general-position test decides every
-(h+1)-subset through the prefix from 2-D images of cross products of the
-later rows' projections, and the mask oracle's sweep below sorts such
-images, both by one exact rule: distinct correctly rounded float ratios
-prove the images apart and give their angular order, and exact ratios
+separates, in two exact ways that share only the point set. A PointSet holds
+any configuration, and the LP oracle counts any; general position is decided
+only where a result needs it, by the generator and the mask oracle. A
+labeling is one int whose bit i is set when point i is labelled +1. Each
+point x is also kept as its integer lift k * (x, 1), the same ray as (x, 1),
+with k the lcm of x's denominators. One walk over index subsets extends a
+fraction-free elimination of the lifted rows along each prefix of h - 2
+points and yields the prefix's 3-D complement to the loop over it, which
+projects the other rows onto it once (in two dimensions the prefix is empty,
+and the lifted rows are their own projections). The general-position test
+decides every (h+1)-subset through the prefix from 2-D images of cross
+products of the later rows' projections, and the mask oracle's sweep below
+sorts such images, both by one exact rule: distinct correctly rounded float
+ratios prove the images apart and give their angular order, and exact ratios
 decide the rest (the float filter of exact predicates, Shewchuk 1997). In
 one dimension the position test compares lifts, and the swept flat is empty.
 
 The mask oracle, ``separable_masks``, runs no LP. ``verify_formula`` runs
 its sweep on each draw directly: the sweep meets every dependency that the
 position test looks for, so it decides general position as it counts, and
-no PointSet is built. ``separable_masks`` raises on a set that the sweep
+no PointSet is built. ``separable_masks`` refuses a set that the sweep
 finds dependent. In general position a separating plane can be moved onto h
 of the points without changing its labeling (Cover 1965), so the separable
 labelings are the sign vectors of the planes through h points, read off the
@@ -180,7 +182,12 @@ def _angles(lines) -> dict | None:
 
 
 def _in_general_position(lifted, dim) -> bool:
-    """Every min(dim + 1, n) lifted rows are independent (see PointSet)."""
+    """Whether the points are in general position: every min(dim + 1, n)
+    of them affinely independent, so distinct, which is all it means in one
+    dimension. Decided exactly from their lifted rows: n <= dim rows are
+    eliminated in turn, and more go through the subset walk, whose subsets
+    through each prefix are decided from cross products of the later rows'
+    projections by one exact rule (``_angles``)."""
     if dim == 1:  # each rational has one lift (numerator, denominator)
         return len(set(lifted)) == len(lifted)
     if len(lifted) <= dim:  # the one subset is all n rows: eliminate them in turn
@@ -212,16 +219,12 @@ def _in_general_position(lifted, dim) -> bool:
 
 @dataclass(frozen=True)
 class PointSet:
-    """n points with exact rational coordinates in general position.
-
-    General position: every subset of min(dim + 1, n) points is affinely
-    independent, so the points are distinct, which is all it means in one
-    dimension. It is checked exactly at construction: n <= dim points are
-    eliminated in turn, and more go through the subset walk, whose subsets
-    through each prefix are decided from cross products of the later rows'
-    projections by one exact rule (``_angles``). ``seed`` and ``resamples``
-    record generation provenance when applicable. ``lifted`` holds each
-    point's integer lift, read by the position test and by both oracles.
+    """n points with exact rational coordinates, in any configuration:
+    repeated, collinear or coplanar points are held as they are, and the
+    results that need general position decide it (``_in_general_position``).
+    ``seed`` and ``resamples`` record generation provenance when applicable.
+    ``lifted`` holds each point's integer lift, read by the position test
+    and by both oracles.
     """
 
     dim: int
@@ -243,8 +246,6 @@ class PointSet:
         if any(len(p) != self.dim for p in pts):
             raise ValueError("all points must have exactly dim coordinates")
         object.__setattr__(self, "lifted", tuple(_lift(p) for p in pts))
-        if not _in_general_position(self.lifted, self.dim):
-            raise ValueError("points are not in general position")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -292,14 +293,13 @@ def _draws(n: int, h: int, seed: int):
 
 def generate_general_position(n: int, h: int, seed: int) -> PointSet:
     """Deterministic general-position sample: integer coordinates uniform on
-    [-1000, 1000], whole set redrawn until PointSet's exact position check
-    accepts it (see ``_draws``).
+    [-1000, 1000], whole set redrawn until the exact position test
+    (``_in_general_position``) accepts it (see ``_draws``).
     """
     for attempt, pts in _draws(n, h, seed):
-        try:
-            return PointSet(dim=h, points=pts, seed=seed, resamples=attempt)
-        except ValueError:
-            continue
+        ps = PointSet(dim=h, points=pts, seed=seed, resamples=attempt)
+        if _in_general_position(ps.lifted, h):
+            return ps
 
 
 def _separation(lifted, plus) -> tuple[Tableau, dict[int, int] | None]:
@@ -463,13 +463,13 @@ def separable_masks(ps: PointSet) -> frozenset[int]:
     room. Each labeling goes in with every labeling of F, and the negations
     are added once at the end. In one dimension F is empty and the planes
     are thresholds: one half-turn gives the 2n labelings that label the
-    points below a cut -1 and the rest +1, or the reverse. RuntimeError if
-    the sweep finds the points dependent, which PointSet rules out.
+    points below a cut -1 and the rest +1, or the reverse. ValueError if
+    the sweep finds the points dependent, which ``count_dichotomies`` counts.
     """
     _require_enumerable(len(ps))
     masks = _sweep(ps.lifted, ps.dim)
     if masks is None:
-        raise RuntimeError(f"the mask sweep found {ps.points} not in general position")
+        raise ValueError("points are not in general position")
     return masks
 
 

@@ -174,10 +174,9 @@ def small_general_position(draw):
             st.tuples(*[st.integers(-6, 6)] * h), min_size=n, max_size=n, unique=True
         )
     )
-    try:
-        return PointSet(dim=h, points=pts(*coords))
-    except ValueError:
-        assume(False)
+    ps = PointSet(dim=h, points=pts(*coords))
+    assume(om._in_general_position(ps.lifted, h))
+    return ps
 
 
 @st.composite
@@ -316,17 +315,20 @@ def swept_rests(monkeypatch):
 
 
 class TestPointSet:
+    """A PointSet holds any configuration; the position test,
+    _in_general_position on its lifted rows, accepts or rejects it."""
+
     def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            PointSet(dim=2, points=pts((0, 0), (0, 0), (1, 2)))
+        ps = PointSet(dim=2, points=pts((0, 0), (0, 0), (1, 2)))
+        assert not om._in_general_position(ps.lifted, 2)
 
     def test_rejects_collinear_triple_in_the_plane(self):
         for coords in (
             ((0, 0), (1, 1), (2, 2), (5, 0)),
             (("1/2", "1/2"), (1, 1), ("3/2", "3/2"), (5, 0)),
         ):
-            with pytest.raises(ValueError):
-                PointSet(dim=2, points=pts(*coords))
+            ps = PointSet(dim=2, points=pts(*coords))
+            assert not om._in_general_position(ps.lifted, 2)
 
     def test_rejects_wrong_arity(self):
         with pytest.raises(ValueError):
@@ -348,6 +350,17 @@ class TestPointSet:
     def test_rational_coordinates_allowed(self):
         ps = PointSet(dim=2, points=pts(("1/2", 0), (0, "2/3"), (4, 5)))
         assert ps.points[0][0] == F(1, 2)
+
+    def test_construction_runs_no_position_test(self, monkeypatch):
+        # a set rebuilt from known points, and a dependent one, are held as
+        # they are: coercion and lifting are the whole cost
+        calls = walk_counters(monkeypatch, "_in_general_position")
+        known = PointSet(dim=3, points=generate_general_position(18, 3, 0).points)
+        calls.update(dict.fromkeys(calls, 0))
+        rebuilt = PointSet(dim=3, points=known.points)
+        line = PointSet(dim=2, points=pts((0, 0), (1, 1), (2, 2), (2, 2)))
+        assert rebuilt == known and len(line) == 4
+        assert calls == {"_side": 0, "_extend": 0, "_in_general_position": 0}
 
     @given(
         st.integers(1, 3).flatmap(
@@ -390,12 +403,8 @@ class TestPointSet:
         expect = all(
             gram_det(subset) != 0 for subset in itertools.combinations(rows, m)
         )
-        try:
-            PointSet(dim=dim, points=tuple(map(tuple, coords)))
-            accepted = True
-        except ValueError:
-            accepted = False
-        assert accepted == expect
+        ps = PointSet(dim=dim, points=tuple(map(tuple, coords)))
+        assert om._in_general_position(ps.lifted, dim) == expect
 
     @given(
         st.lists(
@@ -417,12 +426,8 @@ class TestPointSet:
         expect = all(
             gram_rank(subset) == m for subset in itertools.combinations(rows, m)
         )
-        try:
-            PointSet(dim=4, points=tuple(map(tuple, coords)))
-            accepted = True
-        except ValueError:
-            accepted = False
-        assert accepted == expect
+        ps = PointSet(dim=4, points=tuple(map(tuple, coords)))
+        assert om._in_general_position(ps.lifted, 4) == expect
 
     @pytest.mark.parametrize(
         "dim, coords, accepted",
@@ -481,11 +486,8 @@ class TestPointSet:
         assert accepted == all(
             gram_rank(subset) == m for subset in itertools.combinations(rows, m)
         )
-        if accepted:
-            PointSet(dim=dim, points=pts(*coords))
-        else:
-            with pytest.raises(ValueError, match="general position"):
-                PointSet(dim=dim, points=pts(*coords))
+        ps = PointSet(dim=dim, points=pts(*coords))
+        assert om._in_general_position(ps.lifted, dim) == accepted
 
     @given(
         st.integers(1, 5).flatmap(
@@ -508,12 +510,8 @@ class TestPointSet:
         expect = all(
             gram_rank(subset) == m for subset in itertools.combinations(rows, m)
         )
-        try:
-            PointSet(dim=dim, points=pts(*coords))
-            accepted = True
-        except ValueError:
-            accepted = False
-        assert accepted == expect
+        ps = PointSet(dim=dim, points=pts(*coords))
+        assert om._in_general_position(ps.lifted, dim) == expect
 
     def test_one_elimination_per_short_prefix_and_one_projection_per_later_row(
         self, monkeypatch
@@ -709,12 +707,8 @@ class TestFloatKeys:
         expect = all(
             gram_rank(subset) == m for subset in itertools.combinations(rows, m)
         )
-        try:
-            PointSet(dim=dim, points=coords)
-            accepted = True
-        except ValueError:
-            accepted = False
-        assert accepted == expect
+        ps = PointSet(dim=dim, points=coords)
+        assert om._in_general_position(ps.lifted, dim) == expect
 
 
 class TestGeneration:
@@ -770,6 +764,12 @@ class TestGeneration:
             generate_general_position(4, 5, 0)
         with pytest.raises(ValueError):
             generate_general_position(4, 0, 0)
+
+    @pytest.mark.parametrize("n, h, seed, resamples", [(20, 1, 50, 2), (18, 3, 0, 0)])
+    def test_one_position_test_per_draw(self, monkeypatch, n, h, seed, resamples):
+        calls = walk_counters(monkeypatch, "_in_general_position")
+        assert generate_general_position(n, h, seed).resamples == resamples
+        assert calls["_in_general_position"] == resamples + 1
 
 
 class TestSeparability:
@@ -945,10 +945,8 @@ class TestCountDichotomies:
     @settings(max_examples=100, deadline=None)
     def test_matches_the_mask_oracle_on_wide_coordinates(self, case):
         dim, coords = case
-        try:
-            ps = PointSet(dim=dim, points=coords)
-        except ValueError:
-            assume(False)
+        ps = PointSet(dim=dim, points=coords)
+        assume(om._in_general_position(ps.lifted, dim))
         assert count_dichotomies(ps) == len(separable_masks(ps))
 
     @given(small_general_position())
@@ -963,6 +961,97 @@ class TestCountDichotomies:
     )
     def test_matches_brute_force_on_fixed_sets(self, ps):
         assert count_dichotomies(ps) == len(brute_force_masks(ps))
+
+
+@st.composite
+def line_sets(draw):
+    """1 to 10 points a + t * d on one line in dimension 1 to 4, with
+    integer a, d != 0 and t in -4..4: repeated points are common. Returns
+    (dim, points, number of distinct t)."""
+    dim = draw(st.integers(1, 4))
+    base = draw(st.tuples(*[st.integers(-5, 5)] * dim))
+    d = draw(st.tuples(*[st.integers(-3, 3)] * dim).filter(any))
+    ts = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=10))
+    points = [tuple(a + t * b for a, b in zip(base, d)) for t in ts]
+    return dim, points, len(set(ts))
+
+
+@st.composite
+def small_grid_sets(draw, max_size=9):
+    """1 to max_size points in dimension 1 to 3 with coordinates in -2..2,
+    as a PointSet: repeated, collinear and coplanar points are common."""
+    dim = draw(st.integers(1, 3))
+    coords = draw(
+        st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=1, max_size=max_size)
+    )
+    return PointSet(dim=dim, points=coords)
+
+
+class TestDegenerateSets:
+    """The formula is the coefficient N(F, n), a maximum over samples; the
+    LP oracle counts sets in any position, so the samples below it show."""
+
+    @pytest.mark.parametrize(
+        "sizes, count, formula",
+        [((3, 3), 58, 74), ((4, 3), 100, 134), ((2, 2, 3), 298, 464)],
+        ids=["3x3", "4x3", "2x2x3"],
+    )
+    def test_grids(self, sizes, count, formula):
+        box = itertools.product(*(range(k) for k in sizes))
+        ps = PointSet(dim=len(sizes), points=tuple(box))
+        assert not om._in_general_position(ps.lifted, ps.dim)
+        assert count_dichotomies(ps) == count
+        assert shatter_multi(len(ps), HypothesisSpec(ps.dim)) == formula
+
+    def test_a_repeated_point_counts_once(self):
+        # six points in general position and a copy of one: a copy takes
+        # its original's label in every separable labeling, so the count is
+        # the n = 6 formula
+        points = generate_general_position(6, 2, 0).points
+        ps = PointSet(dim=2, points=points + (points[3],))
+        assert count_dichotomies(ps) == shatter_multi(6, HypothesisSpec(2)) == 32
+
+    @given(line_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_points_on_a_line_count_two_per_distinct_point(self, case):
+        # the planes meet a line in the thresholds between its distinct
+        # points: each cut, either way round
+        dim, points, distinct = case
+        assert count_dichotomies(PointSet(dim=dim, points=points)) == 2 * distinct
+
+    @given(small_grid_sets())
+    @settings(max_examples=600, deadline=None)
+    def test_never_above_the_formula_and_equal_in_general_position(self, ps):
+        formula = shatter_multi(len(ps), HypothesisSpec(ps.dim))
+        count = count_dichotomies(ps)
+        assert count <= formula
+        if om._in_general_position(ps.lifted, ps.dim):
+            assert count == formula == len(separable_masks(ps))
+        else:
+            with pytest.raises(ValueError, match="not in general position"):
+                separable_masks(ps)
+
+    @given(small_grid_sets(max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_on_dependent_sets(self, ps):
+        assume(not om._in_general_position(ps.lifted, ps.dim))
+        assert count_dichotomies(ps) == len(brute_force_masks(ps))
+
+    def test_a_conic_lowers_the_dimension_of_the_image(self):
+        # ten points of x^2 + y^2 = 25 mapped by (x, y, x^2, xy, y^2) lie in
+        # the hyperplane x3 + x5 = 25 of R^5, and count the h = 4 formula,
+        # not the h = 5 one: the h that counts is the affine dimension of
+        # the image. Dropping y^2 maps them into R^4 in general position
+        circle = [(x, y) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y == 25]
+        ten = [p for p in circle if p[0]]
+        assert len(circle) == 12 and len(ten) == 10
+        ps = PointSet(dim=5, points=[(x, y, x * x, x * y, y * y) for x, y in ten])
+        assert not om._in_general_position(ps.lifted, 5)
+        count = count_dichotomies(ps)
+        assert count == shatter_multi(10, HypothesisSpec(4)) == 512
+        assert count < shatter_multi(10, HypothesisSpec(5)) == 764
+        flat = PointSet(dim=4, points=[p[:4] for p in ps.points])
+        assert len(separable_masks(flat)) == count
 
 
 class TestSeparableMasks:
@@ -1138,10 +1227,8 @@ class TestSeparableMasks:
     @settings(max_examples=200, deadline=None)
     def test_matches_brute_force_on_wide_coordinates(self, case):
         dim, coords = case
-        try:
-            ps = PointSet(dim=dim, points=coords)
-        except ValueError:
-            assume(False)
+        ps = PointSet(dim=dim, points=coords)
+        assume(om._in_general_position(ps.lifted, dim))
         assert separable_masks(ps) == brute_force_masks(ps)
 
     @given(small_rational_sets())
@@ -1184,12 +1271,30 @@ class TestSeparableMasks:
         assert verify_formula(12, 1, 3, 13).passed
         assert calls["_in_general_position"] == 0
 
-    def test_raises_on_a_set_the_sweep_finds_dependent(self, monkeypatch):
-        # only a PointSet built past its position test can be dependent;
+    @pytest.mark.parametrize(
+        "coords, accepted",
+        [
+            (moment_curve(4, 3), True),
+            ([(0, 0, 0), (1, 2, 3), (2, 4, 6), (1, 0, 0)], False),
+        ],
+    )
+    def test_few_points_run_the_position_test_once(self, monkeypatch, coords, accepted):
+        # n <= h + 1 points, from a user-built set to its masks: the
+        # sweep's position test, run once, decides between all 2^n
+        # labelings and a refusal
+        calls = walk_counters(monkeypatch, "_in_general_position")
+        ps = PointSet(dim=3, points=coords)
+        if accepted:
+            assert separable_masks(ps) == frozenset(range(16))
+        else:
+            with pytest.raises(ValueError, match="not in general position"):
+                separable_masks(ps)
+        assert calls["_in_general_position"] == 1
+
+    def test_raises_on_a_set_the_sweep_finds_dependent(self):
         # the refusal is an exception, so it holds under python -O
-        monkeypatch.setattr(om, "_in_general_position", lambda lifted, dim: True)
         line = PointSet(dim=2, points=pts((0, 0), (1, 1), (2, 2), (0, 1)))
-        with pytest.raises(RuntimeError, match="not in general position"):
+        with pytest.raises(ValueError, match="not in general position"):
             separable_masks(line)
 
 
