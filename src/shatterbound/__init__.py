@@ -3,14 +3,7 @@ uniform-convergence bound built on them, inverse solvers for sample size
 and risk divergence, and an exact brute-force oracle for the counting
 formula."""
 
-from .bounds import (
-    CurveRow,
-    NoBracketError,
-    delta_bound,
-    emit_epsilon_curve,
-    solve_max_eps,
-    solve_min_n,
-)
+from .bounds import NoBracketError, delta_bound, solve_max_eps, solve_min_n
 from .logarithmetic import LogNum
 from .oracle import (
     PointSet,
@@ -22,10 +15,12 @@ from .oracle import (
     verify_formula,
 )
 from .shattering import (
+    CurveRow,
     HypothesisSpec,
     binom_lower_bound,
     binom_upper_bound,
     complement_count,
+    emit_epsilon_curve,
     epsilon_curve,
     shatter_log,
     shatter_multi,

@@ -17,18 +17,16 @@ import math
 from dataclasses import dataclass
 
 from .logarithmetic import LN2, LogNum
-from .shattering import CurveRow, HypothesisSpec, _curve_rows, _ln_count, _not_finite
+from .shattering import HypothesisSpec, _ln_count, _not_finite
 
 __all__ = [
     "BracketTrace",
-    "CurveRow",
     "NoBracketError",
     "DEFAULT_CEILING",
     "delta_bound",
     "solve_min_n",
     "solve_min_n_trace",
     "solve_max_eps",
-    "emit_epsilon_curve",
 ]
 
 DEFAULT_CEILING = 2**63 - 1
@@ -183,15 +181,3 @@ def solve_max_eps(n: int, delta: float, spec: HypothesisSpec) -> float:
         return math.sqrt((4.0 / n) * (log_2n - math.log(delta)))
     except OverflowError:  # 4.0 / n converts n to a float
         raise _not_finite(n, spec.h, spec.p, "sample size n") from None
-
-
-def emit_epsilon_curve(
-    n_grid: list[int], specs: list[HypothesisSpec]
-) -> list[CurveRow]:
-    """One divergence value per (n, spec), each the one epsilon_curve gives;
-    rows ordered by (h, p, n)."""
-    if not n_grid:
-        raise ValueError("n_grid must be nonempty")
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError("n_grid must be strictly ascending")
-    return _curve_rows(n_grid, sorted(specs, key=lambda s: (s.h, s.p)))

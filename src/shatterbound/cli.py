@@ -1,9 +1,10 @@
 """Command-line front end: calculators, solvers, curve emission, verification.
 
-Every subcommand emits one self-describing record; --format json prints it
-as JSON whose parse reproduces the record, --format plain prints the same
-values as key: value text. main builds each record from the options its
-subcommand parsed; a handler returns only result, flags and provenance.
+Every subcommand emits one self-describing record, a plain dict with the
+keys command, inputs, result, flags and provenance; --format json prints it
+as JSON with sorted keys, --format plain prints the same values as key:
+value text. main builds each record from the options its subcommand parsed;
+a handler returns only result, flags and provenance.
 Identical invocations produce byte-identical output: no timestamps, no
 hidden entropy, all randomness behind --seed.
 
@@ -18,20 +19,25 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .bounds import (
     DEFAULT_CEILING,
     NoBracketError,
     delta_bound,
-    emit_epsilon_curve,
     solve_max_eps,
     solve_min_n_trace,
 )
 from .oracle import verify_formula
-from .shattering import HypothesisSpec, _float, is_saturated, shatter_log, shatter_multi
+from .shattering import (
+    HypothesisSpec,
+    _float,
+    emit_epsilon_curve,
+    is_saturated,
+    shatter_log,
+    shatter_multi,
+)
 
-__all__ = ["OutputRecord", "main", "entrypoint"]
+__all__ = ["main", "entrypoint"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,24 +55,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags; the contract here is exit 1
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass
-class OutputRecord:
-    """One machine-readable result; JSON serialization round-trips."""
-
-    command: str
-    inputs: dict
-    result: object
-    flags: list
-    provenance: dict
-
-    def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True)  # asdict deep-copies every leaf
-
-    @classmethod
-    def from_json(cls, text: str) -> "OutputRecord":
-        return cls(**json.loads(text))
 
 
 def sci_from_log(log_value: float) -> str:
@@ -211,7 +199,9 @@ def cmd_curve(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    rep = verify_formula(args.n, args.h, args.trials, args.seed, workers=args.workers)
+    """Count the separable labelings of --trials random sets in this process
+    and compare each count with the formula."""
+    rep = verify_formula(args.n, args.h, args.trials, args.seed)
     return dict(
         result={
             "formula_count": rep.formula_count,
@@ -223,12 +213,12 @@ def cmd_verify(args) -> dict:
     )
 
 
-def _plain_lines(record: OutputRecord) -> list[str]:
+def _plain_lines(record: dict) -> list[str]:
     # str() of a float is its repr, so plain text carries the JSON values
-    lines = [f"command: {record.command}"]
-    lines += [f"{k}: {v}" for k, v in record.inputs.items()]
-    res = record.result
-    if record.command == "verify":
+    lines = [f"command: {record['command']}"]
+    lines += [f"{k}: {v}" for k, v in record["inputs"].items()]
+    res = record["result"]
+    if record["command"] == "verify":
         for i, t in enumerate(res["trials"], start=1):
             lines.append(f"trial {i}: " + " ".join(f"{k}={v}" for k, v in t.items()))
         lines.append(f"formula: {res['formula_count']}")
@@ -241,16 +231,16 @@ def _plain_lines(record: OutputRecord) -> list[str]:
         lines.append(f"bisection_steps: {tr['bisection_steps']}")
         for key in ("expansion", "tail_probes"):
             lines.append(f"{key}: " + " ".join(f"{n}:{v:.6g}" for n, v in tr[key]))
-    if record.flags:
-        lines.append("flags: " + ",".join(record.flags))
-    prov = record.provenance
+    if record["flags"]:
+        lines.append("flags: " + ",".join(record["flags"]))
+    prov = record["provenance"]
     lines.append("provenance: " + " ".join(f"{k}={prov[k]}" for k in sorted(prov)))
     return lines
 
 
-def _render(record: OutputRecord, fmt: str) -> str:
+def _render(record: dict, fmt: str) -> str:
     if fmt == "json":
-        return record.to_json() + "\n"
+        return json.dumps(record, sort_keys=True) + "\n"
     if fmt == "plain":
         return "\n".join(_plain_lines(record)) + "\n"
     return ""  # csv handled inside cmd_curve, the only command carrying a table
@@ -318,9 +308,6 @@ def build_parser() -> _Parser:
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="must be positive; echoed in the record, the count "
-                        "runs in one process")
     add_format(p)
 
     return parser
@@ -333,7 +320,7 @@ def main(argv=None) -> int:
         # argparse sets the options in declaration order, then `run`
         inputs = {k: v for k, v in vars(args).items()
                   if k not in ("command", "format", "run")}
-        record = OutputRecord(args.command, inputs, **args.run(args))
+        record = {"command": args.command, "inputs": inputs, **args.run(args)}
         # a count past CPython's int-to-str digit limit is a ValueError here
         text = _render(record, args.format)
     except NoBracketError as exc:
@@ -344,7 +331,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(text)
-    return EXIT_VERIFY_FAIL if "mismatch" in record.flags else EXIT_OK
+    return EXIT_VERIFY_FAIL if "mismatch" in record["flags"] else EXIT_OK
 
 
 def entrypoint() -> None:

@@ -555,10 +555,11 @@ def verify_formula(
 
     PASS means every trial matched 2 * sum_{i<=h} C(n-1, i) exactly. Trial
     seeds are derived from the master seed so runs are reproducible while
-    trials stay independent draws. ``workers`` must be positive but fans
-    nothing out: the mask oracle runs in this process and builds no LP
-    tableau. The LP oracle, ``count_dichotomies``, shares only the point set
-    with it and is the reference the test suite holds it to.
+    trials stay independent draws. The mask oracle runs in this process and
+    builds no LP tableau. The LP oracle, ``count_dichotomies``, shares only
+    the point set with it and is the reference the test suite holds it to.
+    ``workers`` must be positive and changes nothing; it remains only for
+    the benchmark's ``workers=1`` calls.
     """
     _require_enumerable(n)
     if trials < 1:

@@ -28,6 +28,7 @@ __all__ = [
     "shatter_upper_closed",
     "binom_lower_bound",
     "binom_upper_bound",
+    "emit_epsilon_curve",
     "epsilon_curve",
     "is_saturated",
 ]
@@ -193,14 +194,21 @@ def _sandwich_log(m: int, k: int, shift: float) -> float:
 CurveRow = collections.namedtuple("CurveRow", "n h p epsilon")
 
 
-def _curve_rows(n_grid: list[int], specs: list[HypothesisSpec]) -> list[CurveRow]:
-    """The divergence curve's one evaluation: a CurveRow per (n, spec), the
-    specs in their given order and n along the grid, which must ascend. ln n
-    and sqrt n are taken once per grid point, h*p and gamma once per spec, and
-    each row computes 2*sqrt(h*p*ln n + gamma)/sqrt n from them, operation for
-    operation, so each eps is the one the per-point expression gives.
-    ValueError at the first row, in that order, whose n is below 2 or whose
-    eps is not a finite float."""
+def emit_epsilon_curve(
+    n_grid: list[int], specs: list[HypothesisSpec]
+) -> list[CurveRow]:
+    """The divergence curve: a CurveRow per (n, spec), one epsilon_curve
+    value each, rows ordered by (h, p, n). The grid must be nonempty and
+    strictly ascending. ln n and sqrt n are taken once per grid point, h*p
+    and gamma once per spec, and each row computes 2*sqrt(h*p*ln n + gamma)
+    /sqrt n from them, operation for operation, so each eps is the one the
+    per-point expression gives. ValueError at the first row, in that order,
+    whose n is below 2 or whose eps is not a finite float."""
+    if not n_grid:
+        raise ValueError("n_grid must be nonempty")
+    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+        raise ValueError("n_grid must be strictly ascending")
+    specs = sorted(specs, key=lambda s: (s.h, s.p))
     if not specs:
         return []
     if n_grid[0] < 2:
@@ -242,7 +250,7 @@ def epsilon_curve(n: int, spec: HypothesisSpec) -> float:
     The eps at which ln N(n), taken as its asymptotic form, meets n*eps^2/4:
     the paper's balance of the exponential and polynomial parts of the
     bound, which carries no delta. Grows with h and p, eventually decays in
-    n. The curve kernel's one-point case. ValueError for n below 2, or when
-    eps leaves the float range (a huge p).
+    n. emit_epsilon_curve's one-point case. ValueError for n below 2, or
+    when eps leaves the float range (a huge p).
     """
-    return _curve_rows([n], [spec])[0].epsilon
+    return emit_epsilon_curve([n], [spec])[0].epsilon

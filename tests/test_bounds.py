@@ -11,17 +11,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shatterbound.bounds import (
-    CurveRow,
     DEFAULT_CEILING,
     NoBracketError,
     delta_bound,
-    emit_epsilon_curve,
     solve_max_eps,
     solve_min_n,
     solve_min_n_trace,
 )
 from shatterbound.logarithmetic import LogNum
-from shatterbound.shattering import HypothesisSpec, epsilon_curve
+from shatterbound.shattering import (
+    CurveRow,
+    HypothesisSpec,
+    emit_epsilon_curve,
+    epsilon_curve,
+)
 
 LN_001 = math.log(0.01)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from shatterbound.cli import (
-    OutputRecord,
     build_parser,
     log_spaced_grid,
     main,
@@ -363,22 +363,14 @@ class TestVerify:
         assert code == 2
         assert "result: FAIL" in out
 
-    def test_workers_flag_changes_nothing(self, capsys):
-        counts = {}
-        for w in ("1", "2"):
-            _, out, _ = run_cli(
-                capsys, "verify", "--n", "7", "--h", "2", "--trials", "2",
-                "--seed", "3", "--workers", w, "--format", "json",
-            )
-            counts[w] = [t["count"] for t in json.loads(out)["result"]["trials"]]
-        assert counts["1"] == counts["2"]
-
-    def test_zero_workers_exit_1(self, capsys):
+    @pytest.mark.parametrize("workers", ["2", "0"])
+    def test_no_workers_option(self, capsys, workers):
+        # the count runs in one process, so there is nothing to fan out
         code, out, err = run_cli(
-            capsys, "verify", "--n", "4", "--h", "2", "--workers", "0"
+            capsys, "verify", "--n", "4", "--h", "2", "--workers", workers
         )
         assert (code, out) == (1, "")
-        assert "workers must be positive" in err
+        assert f"unrecognized arguments: --workers {workers}" in err
 
 
 class TestOutputContract:
@@ -390,9 +382,7 @@ class TestOutputContract:
         assert {c["argv"][0] for c in cases} == set(COMMANDS)
         for case in cases:
             _, out, _ = run_cli(capsys, *case["argv"])
-            rec = OutputRecord.from_json(out)
-            assert rec.to_json() + "\n" == out
-            assert rec == OutputRecord.from_json(rec.to_json())
+            assert json.dumps(json.loads(out), sort_keys=True) + "\n" == out
 
     def test_plain_and_json_carry_identical_values(self, capsys):
         _, plain, _ = run_cli(capsys, "coef", "--n", "9", "--h", "3", "--p", "2")
@@ -597,6 +587,91 @@ class TestNPastTheFloatRange:
         assert (ns[0], ns[-1]) == (n_start, n_end)
 
 
+class TestEveryOptionMatters:
+    """Each option a subcommand declares, --format aside, changes what the
+    command produces: its exit code, its record outside the echoed inputs,
+    or the file it writes. An option that only travels into the record is
+    one no run needs, so a new option must bring a case here."""
+
+    # options every case of a command passes, unless the case varies them
+    BASE = {
+        "coef": {"--n": "9", "--h": "3"},
+        "bound": {"--n": "4", "--eps": "0.5", "--h": "2"},
+        "solve-n": {"--delta": "0.01", "--eps": "0.05", "--h": "2"},
+        "solve-eps": {"--n": "100", "--delta": "0.01", "--h": "2"},
+        "curve": {"--n-start": "10", "--n-end": "100", "--n-points": "3",
+                  "--h-list": "1", "--p-list": "1", "--out": "c.csv"},
+        "verify": {"--n": "6", "--h": "2"},
+    }
+    # (command, option): the option's tokens in the two runs; [] omits it
+    CASES = {
+        ("coef", "--n"): (["--n", "9"], ["--n", "10"]),
+        ("coef", "--h"): (["--h", "3"], ["--h", "4"]),
+        ("coef", "--p"): ([], ["--p", "2"]),
+        ("bound", "--n"): (["--n", "4"], ["--n", "5"]),
+        ("bound", "--eps"): (["--eps", "0.5"], ["--eps", "0.4"]),
+        ("bound", "--h"): (["--h", "2"], ["--h", "3"]),
+        ("bound", "--p"): ([], ["--p", "2"]),
+        # the bound at n = 4 is vacuous, so the clamp applies
+        ("bound", "--clamp"): ([], ["--clamp"]),
+        ("solve-n", "--delta"): (["--delta", "0.01"], ["--delta", "0.02"]),
+        ("solve-n", "--eps"): (["--eps", "0.05"], ["--eps", "0.1"]),
+        ("solve-n", "--h"): (["--h", "2"], ["--h", "3"]),
+        ("solve-n", "--p"): ([], ["--p", "2"]),
+        # n* is far above 100: exit 3 against 0
+        ("solve-n", "--ceiling"): ([], ["--ceiling", "100"]),
+        ("solve-eps", "--n"): (["--n", "100"], ["--n", "200"]),
+        ("solve-eps", "--delta"): (["--delta", "0.01"], ["--delta", "0.02"]),
+        ("solve-eps", "--h"): (["--h", "2"], ["--h", "3"]),
+        ("solve-eps", "--p"): ([], ["--p", "2"]),
+        # the grid moves but keeps three points: only the CSV file differs
+        ("curve", "--n-start"): (["--n-start", "10"], ["--n-start", "20"]),
+        ("curve", "--n-end"): (["--n-end", "100"], ["--n-end", "1000"]),
+        ("curve", "--n-points"): (["--n-points", "3"], ["--n-points", "4"]),
+        ("curve", "--h-list"): (["--h-list", "1"], ["--h-list", "1,2"]),
+        ("curve", "--p-list"): (["--p-list", "1"], ["--p-list", "1,2"]),
+        ("curve", "--out"): (["--out", "c.csv"], ["--out", "d.csv"]),
+        ("verify", "--n"): (["--n", "6"], ["--n", "7"]),
+        ("verify", "--h"): (["--h", "2"], ["--h", "1"]),
+        ("verify", "--trials"): ([], ["--trials", "1"]),
+        ("verify", "--seed"): ([], ["--seed", "1"]),
+    }
+
+    @classmethod
+    def produced(cls, capsys, command, option, tokens):
+        """Exit code, record without its inputs, and --out file of one run."""
+        base = {k: v for k, v in cls.BASE[command].items() if k != option}
+        argv = [command, *(t for kv in base.items() for t in kv), *tokens]
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        record = json.loads(out) if out else None
+        if record:
+            del record["inputs"]
+        out_file = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+        written = out_file.read_text() if out_file and out_file.exists() else None
+        if written is not None:
+            out_file.unlink()
+        return code, record, written
+
+    @pytest.mark.parametrize("command, option", sorted(CASES),
+                             ids=lambda v: v.lstrip("-"))
+    def test_option_changes_the_output(self, capsys, tmp_path, monkeypatch,
+                                       command, option):
+        monkeypatch.chdir(tmp_path)  # the curve cases write their CSV here
+        a, b = self.CASES[(command, option)]
+        assert (self.produced(capsys, command, option, a)
+                != self.produced(capsys, command, option, b))
+
+    def test_every_declared_option_has_a_case(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        declared = {
+            (command, opt)
+            for command, p in sub.choices.items() for action in p._actions
+            for opt in action.option_strings if opt not in ("-h", "--help", "--format")
+        }
+        assert declared == set(self.CASES)
+
+
 class TestParserIsBuiltOnce:
     def test_same_parser_every_call(self):
         assert build_parser() is build_parser()
@@ -648,7 +723,7 @@ class TestUsageLines:
         ),
         "verify": (
             "usage: shatterbound verify [-h] --n N --h H [--trials TRIALS] [--seed SEED]\n"
-            "                           [--workers WORKERS] [--format {plain,json}]\n"
+            "                           [--format {plain,json}]\n"
         ),
     }
 

@@ -53,6 +53,25 @@ def test_every_export_resolves(name):
     assert missing == [], f"{name}.__all__ names {missing}"
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_every_export_is_defined_in_its_module(module):
+    # only the package's __init__ re-exports: a submodule that lists an
+    # imported name in __all__ is a second address for code defined elsewhere
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    relayed = [name for name in exported if name not in bound]
+    assert relayed == [], f"{module}.__all__ names {relayed}, defined elsewhere"
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     # no linter runs in the test suite, so this is what catches a dead import:
