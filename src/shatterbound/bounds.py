@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .logarithmetic import LN2, LogNum
-from .shattering import HypothesisSpec, _ln_count, _not_finite
+from .shattering import _MAX_INPUT, HypothesisSpec, _ln_count, _require_at_most_max
 
 __all__ = [
     "BracketTrace",
@@ -29,7 +29,7 @@ __all__ = [
     "solve_max_eps",
 ]
 
-DEFAULT_CEILING = 2**63 - 1
+DEFAULT_CEILING = _MAX_INPUT
 
 
 class NoBracketError(RuntimeError):
@@ -68,11 +68,8 @@ def _require_eps(eps: float) -> None:
 
 def _log_bound(n: int, eps: float, h: int, p: int) -> float:
     """ln delta(n) on plain floats, eps already checked: what the solver
-    probes. ValueError naming (n, h, p) when n is past the float range."""
-    try:
-        return LN2 + _ln_count(n, h, p) - n * eps * eps / 4.0
-    except OverflowError:  # n * eps converts n to a float
-        raise _not_finite(n, h, p, "log bound") from None
+    probes. _ln_count checks n, so n * eps is a finite float."""
+    return LN2 + _ln_count(n, h, p) - n * eps * eps / 4.0
 
 
 def delta_bound(n: int, eps: float, spec: HypothesisSpec) -> LogNum:
@@ -99,15 +96,24 @@ def solve_min_n_trace(
     predecessor above the target and the two bracket the crossing. Integer
     bisection then pins the crossing, moving the bracket's low end only to
     points it compared above the target, so n* - 1 lies above it and n* is
-    minimal by construction. The bound need not be monotone past n*, so
-    up to 12 geometric tail probes beyond it, none past the ceiling, must
-    lie at or below the target, else RuntimeError. The trace carries n*'s
-    log-bound from its one evaluation, so callers need not repeat it.
+    minimal by construction. At p = 1 the bound never re-crosses: with
+    m = n - 1 and S(m) = sum_{i<=h} C(m, i) = N(n)/2, Pascal's rule gives
+    S(m+1) = 2 S(m) - C(m, h), so N(n+1)/N(n) = 2 - C(m, h)/S(m). That is 2
+    below m = h, where C(m, h) = 0, and from m = h on S(m)/C(m, h) =
+    sum_{i<=h} prod_{j=i+1..h} j/(m-j+1) does not increase in m. So ln N,
+    and with it f(n) = ln 2 + ln N(n) - n*eps^2/4, is concave in n; as
+    f(1) = ln 4 - eps^2/4 > 0 > ln(delta), f(n) > ln(delta) exactly for
+    n < n*. At p >= 2 concavity can fail below n = 2h + 1 (up to n = 16 at
+    h = 8, p = 64), so up to 12 geometric tail probes beyond n*, none past
+    the ceiling, must lie at or below the target, else RuntimeError. The
+    trace carries n*'s log-bound from its one evaluation, so callers need
+    not repeat it.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     target = math.log(delta)
     _require_eps(eps)
+    _require_at_most_max("ceiling", ceiling)
     h, p = spec.h, spec.p
 
     expansion: list[tuple[int, float]] = []
@@ -171,13 +177,10 @@ def solve_max_eps(n: int, delta: float, spec: HypothesisSpec) -> float:
 
         eps = sqrt( (4/n) * (ln(2*N(n)) - ln(delta)) )
 
-    Returned even when >= 1 (vacuous); callers flag that case. ValueError
-    naming (n, h, p) when n is past the float range.
+    Returned even when >= 1 (vacuous); callers flag that case. _ln_count
+    checks n, so 4.0 / n is a positive float.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     log_2n = LN2 + _ln_count(n, spec.h, spec.p)
-    try:
-        return math.sqrt((4.0 / n) * (log_2n - math.log(delta)))
-    except OverflowError:  # 4.0 / n converts n to a float
-        raise _not_finite(n, spec.h, spec.p, "sample size n") from None
+    return math.sqrt((4.0 / n) * (log_2n - math.log(delta)))

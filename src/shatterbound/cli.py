@@ -29,8 +29,8 @@ from .bounds import (
 )
 from .oracle import verify_formula
 from .shattering import (
+    _MAX_INPUT,
     HypothesisSpec,
-    _float,
     emit_epsilon_curve,
     is_saturated,
     shatter_log,
@@ -90,7 +90,7 @@ def log_spaced_grid(n_start: int, n_end: int, n_points: int) -> list[int]:
     ratio = n_end / n_start
     grid: list[int] = []
     for i in range(n_points):
-        # clamp, then round: near the float maximum the product can be inf
+        # clamp, then round: the float product can round past n_end
         v = max(n_start, round(min(n_start * ratio ** (i / (n_points - 1)), n_end)))
         if not grid or v > grid[-1]:
             grid.append(v)
@@ -167,8 +167,8 @@ def cmd_curve(args) -> dict:
     # first and fails on n_start <= 0 (division by zero, negative ratio)
     _require(args.n_start >= 2, f"--n-start must be >= 2, got {args.n_start}")
     _require(args.n_end > args.n_start, "--n-end must exceed --n-start")
-    # log_spaced_grid divides n_end by n_start in floats
-    _require(_float(args.n_end) < math.inf, f"--n-end must fit a float, got {args.n_end}")
+    # the curve's domain, checked before log_spaced_grid builds the grid
+    _require(args.n_end <= _MAX_INPUT, f"--n-end must be at most 2^63-1, got {args.n_end}")
     _require(args.n_points >= 2, f"--n-points must be >= 2, got {args.n_points}")
     # log_spaced_grid takes n_points steps, whatever the distinct points
     span = args.n_end - args.n_start + 1
@@ -326,8 +326,7 @@ def main(argv=None) -> int:
     except NoBracketError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    # an n past the float range overflows converting to float
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(text)

@@ -18,15 +18,19 @@ from shatterbound.bounds import (
     solve_min_n,
     solve_min_n_trace,
 )
-from shatterbound.logarithmetic import LogNum
+from shatterbound.logarithmetic import LN2, LogNum
 from shatterbound.shattering import (
     CurveRow,
     HypothesisSpec,
     emit_epsilon_curve,
     epsilon_curve,
+    shatter_log,
 )
 
 LN_001 = math.log(0.01)
+MAX = 2**63 - 1
+PAST_THE_DOMAIN = pytest.mark.parametrize(
+    "big", [2**63, 10**308, 10**400], ids=["2^63", "1e308", "1e400"])
 
 
 def bound_evaluations(monkeypatch):
@@ -61,16 +65,22 @@ class TestDeltaBound:
         with pytest.raises(ValueError):
             delta_bound(10, 1.0, HypothesisSpec(1, 1))
 
-    @pytest.mark.parametrize("p", [10**308, 10**400], ids=["1e308", "1e400"])
-    def test_log_count_past_the_float_range_raises(self, p):
-        with pytest.raises(ValueError, match="n=100, h=3"):
-            delta_bound(100, 0.5, HypothesisSpec(3, p))
+    @PAST_THE_DOMAIN
+    def test_p_past_the_domain_raises(self, big):
+        with pytest.raises(ValueError, match=rf"^hyperplane count p must be at most 2\^63-1, got {big}$"):
+            delta_bound(100, 0.5, HypothesisSpec(3, big))
 
-    def test_n_past_the_float_range_raises(self):
-        # n * eps^2 / 4 would raise OverflowError converting n
-        n = 10**400
-        with pytest.raises(ValueError, match=rf"not a finite float at n={n}, h=3, p=1$"):
-            delta_bound(n, 0.5, HypothesisSpec(3))
+    @PAST_THE_DOMAIN
+    def test_n_past_the_domain_raises(self, big):
+        with pytest.raises(ValueError, match=rf"^sample size n must be at most 2\^63-1, got {big}$"):
+            delta_bound(big, 0.5, HypothesisSpec(3))
+
+    @pytest.mark.parametrize("n,p", [(100, MAX), (MAX, 1), (MAX, MAX)])
+    def test_domain_corner_is_finite(self, n, p):
+        spec = HypothesisSpec(3, p)
+        got = delta_bound(n, 0.5, spec).log_value
+        assert got == LN2 + shatter_log(n, spec).log_value - n * 0.5 * 0.5 / 4.0
+        assert math.isfinite(got)
 
 
 class TestSolveMinN:
@@ -167,16 +177,24 @@ class TestSolveMinN:
             assert last <= LN_001 and last_n == trace.bracket[1]
         assert scanned == 12
 
-    @pytest.mark.parametrize("p", [10**308, 10**400], ids=["1e308", "1e400"])
-    def test_log_count_past_the_float_range_raises(self, p):
-        with pytest.raises(ValueError, match="log count is not a finite float"):
-            solve_min_n(0.01, 0.05, HypothesisSpec(3, p))
+    @PAST_THE_DOMAIN
+    def test_p_past_the_domain_raises(self, big):
+        with pytest.raises(ValueError, match=rf"^hyperplane count p must be at most 2\^63-1, got {big}$"):
+            solve_min_n(0.01, 0.05, HypothesisSpec(3, big))
 
-    def test_ladder_past_the_float_range_raises(self):
-        # at eps = 1e-300 the ladder climbs to 2^1024, where n * eps^2 / 4
-        # would raise OverflowError converting the rung
-        with pytest.raises(ValueError, match=rf"not a finite float at n={2**1024}, h=1, p=1$"):
-            solve_min_n(0.01, 1e-300, HypothesisSpec(1), ceiling=10**400)
+    @PAST_THE_DOMAIN
+    def test_ceiling_past_the_domain_raises(self, big):
+        with pytest.raises(ValueError, match=rf"^ceiling must be at most 2\^63-1, got {big}$"):
+            solve_min_n(0.01, 1e-300, HypothesisSpec(1), ceiling=big)
+
+    @pytest.mark.parametrize("p", [1, MAX], ids=["1", "2^63-1"])
+    def test_ladder_to_the_top_of_the_domain_finds_no_bracket(self, p):
+        # at eps = 1e-300 the bound stays above the target up to 2^63-1, and
+        # its value there is a finite float
+        with pytest.raises(NoBracketError) as info:
+            solve_min_n(0.01, 1e-300, HypothesisSpec(1, p))
+        assert info.value.ceiling == MAX
+        assert LN_001 < info.value.last_log < math.inf
 
     @pytest.mark.parametrize(
         ("ceiling", "expected_bracket"),
@@ -267,17 +285,24 @@ class TestSolveMaxEps:
         got = solve_max_eps(1026780, 0.01, HypothesisSpec(3, 16))
         assert abs(got - 0.05) <= 0.001
 
-    @pytest.mark.parametrize("p", [10**308, 10**400], ids=["1e308", "1e400"])
-    def test_log_count_past_the_float_range_raises(self, p):
-        with pytest.raises(ValueError, match="log count is not a finite float"):
-            solve_max_eps(100, 0.01, HypothesisSpec(3, p))
+    @PAST_THE_DOMAIN
+    def test_p_past_the_domain_raises(self, big):
+        with pytest.raises(ValueError, match=rf"^hyperplane count p must be at most 2\^63-1, got {big}$"):
+            solve_max_eps(100, 0.01, HypothesisSpec(3, big))
 
-    def test_n_past_the_float_range_raises(self):
-        # 4 / n would raise OverflowError converting n, and 4.0 / inf would
-        # make the answer a silent 0.0
-        n = 10**400
-        with pytest.raises(ValueError, match=rf"not a finite float at n={n}, h=3, p=1$"):
-            solve_max_eps(n, 0.01, HypothesisSpec(3))
+    @PAST_THE_DOMAIN
+    def test_n_past_the_domain_raises(self, big):
+        # 4.0 / n would make the answer a silent 0.0 past the float range
+        with pytest.raises(ValueError, match=rf"^sample size n must be at most 2\^63-1, got {big}$"):
+            solve_max_eps(big, 0.01, HypothesisSpec(3))
+
+    @pytest.mark.parametrize("n,p", [(100, MAX), (MAX, 1), (MAX, MAX)])
+    def test_domain_corner_is_the_closed_form(self, n, p):
+        spec = HypothesisSpec(3, p)
+        log_2n = LN2 + shatter_log(n, spec).log_value
+        got = solve_max_eps(n, 0.01, spec)
+        assert got == math.sqrt((4.0 / n) * (log_2n - LN_001))
+        assert 0.0 < got < math.inf
 
     def test_saturated_case_is_vacuous(self):
         got = solve_max_eps(10, 0.5, HypothesisSpec(9, 1))
@@ -363,23 +388,17 @@ class TestEmitEpsilonCurve:
 
 def per_point_epsilon(n, h, p):
     """The curve's per-point evaluation as it stood before the batched kernel:
-    one n check, one expression, one finiteness check."""
+    one n check and one expression, finite over the accepted domain."""
     if n < 2:
         raise ValueError(f"divergence curve needs n >= 2, got {n}")
-    try:
-        eps = 2.0 * math.sqrt(h * p * math.log(n) + (p * math.log(2.0) + h * p)) / math.sqrt(n)
-    except OverflowError:  # an int past the float range
-        eps = math.inf
-    if not math.isfinite(eps):
-        raise ValueError(f"divergence eps is not a finite float at n={n}, h={h}, p={p}")
-    return eps
+    return 2.0 * math.sqrt(h * p * math.log(n) + (p * math.log(2.0) + h * p)) / math.sqrt(n)
 
 
 def outcome(call):
     """What a call returns, or the type and message of the exception it raises."""
     try:
         return call()
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
 
 
@@ -388,31 +407,30 @@ def hexed(rows):
     return [(type(r), r.n, r.h, r.p, r.epsilon.hex()) for r in rows]
 
 
-# ascending grids in 2..2^63-1, some led by 1 and some ending past the float
-# range, where math.sqrt(n) raises
+# ascending grids in 2..2^63-1, some led by 1 and some ending at the top of
+# the domain
 curve_grids = st.tuples(
     st.booleans(),
-    st.lists(st.integers(2, 2**63 - 1), min_size=1, max_size=6, unique=True),
+    st.lists(st.integers(2, MAX), min_size=1, max_size=6, unique=True),
     st.booleans(),
-).map(lambda t: [1] * t[0] + sorted(t[1]) + [10**400] * t[2])
-# h * p or p * ln 2 past the float range at 10**308 and 10**400; at h = 1,
-# p = 10**307 the radicand overflows only from n of about 10**7 on
+).map(lambda t: [1] * t[0] + sorted(set(t[1]) | ({MAX} if t[2] else set())))
+# h * p up to (2^63-1)^2, where the radicand is still below 5e39
 curve_specs = st.lists(st.builds(
     HypothesisSpec,
-    st.one_of(st.integers(0, 8), st.just(10**400)),
-    st.one_of(st.integers(1, 64), st.sampled_from([10**307, 10**308, 10**400])),
+    st.one_of(st.integers(0, 8), st.integers(0, MAX), st.just(MAX)),
+    st.one_of(st.integers(1, 64), st.integers(1, MAX), st.just(MAX)),
 ), max_size=4)
 
 
 class TestCurveKernel:
     """emit_epsilon_curve against the per-point expression, bit for bit, and
-    its errors at the first failing row in (h, p, n) order."""
+    its errors for inputs out of the domain."""
 
     @given(curve_grids, curve_specs)
     @settings(max_examples=300, deadline=None)
     @example([1, 10], [])
-    @example([2, 10**6, 10**8, 10**400], [HypothesisSpec(0, 10**308),
-                                          HypothesisSpec(1, 10**307)])
+    @example([2, 10**6, 10**8, MAX], [HypothesisSpec(0, MAX), HypothesisSpec(1, MAX),
+                                      HypothesisSpec(MAX, MAX)])
     def test_matches_the_per_point_expression(self, grid, specs):
         def reference():
             return hexed(CurveRow(n, s.h, s.p, per_point_epsilon(n, s.h, s.p))
@@ -425,17 +443,25 @@ class TestCurveKernel:
                 want = outcome(lambda: per_point_epsilon(n, s.h, s.p).hex())
                 assert outcome(lambda: epsilon_curve(n, s).hex()) == want
 
-    @pytest.mark.parametrize("grid, specs, message", [
-        ([2, 10**6, 10**8], [HypothesisSpec(1, 10**307)],
-         f"divergence eps is not a finite float at n={10**8}, h=1, p={10**307}"),
-        ([2, 10**400], [HypothesisSpec(0, 1), HypothesisSpec(3, 1)],
-         f"divergence eps is not a finite float at n={10**400}, h=0, p=1"),
-        ([5, 7], [HypothesisSpec(2, 1), HypothesisSpec(1, 10**400)],
-         f"divergence eps is not a finite float at n=5, h=1, p={10**400}"),
-        ([1, 7], [HypothesisSpec(1, 10**400)], "divergence curve needs n >= 2, got 1"),
-    ], ids=["radicand-later", "sqrt-n", "p-ln2", "n-below-2"])
-    def test_errors_name_the_first_failing_row(self, grid, specs, message):
-        assert outcome(lambda: emit_epsilon_curve(grid, specs)) == (ValueError, message)
+    # the families as (h, p) pairs: a HypothesisSpec refuses one out of the
+    # domain as it is built
+    @pytest.mark.parametrize("grid, families, message", [
+        ([2, 10**6, 2**63], [(1, 1)],
+         f"sample size n must be at most 2^63-1, got {2**63}"),
+        ([2, 10**400], [(0, 1), (3, 1)],
+         f"sample size n must be at most 2^63-1, got {10**400}"),
+        ([1, 10**400], [(0, 1)],
+         f"sample size n must be at most 2^63-1, got {10**400}"),
+        ([5, 7], [(2, 1), (1, 10**400)],
+         f"hyperplane count p must be at most 2^63-1, got {10**400}"),
+        ([5, 7], [(2**63, 1)], f"dimension h must be at most 2^63-1, got {2**63}"),
+        ([1, 7], [(1, MAX)], "divergence curve needs n >= 2, got 1"),
+    ], ids=["n-2^63", "n-1e400", "n-below-2-and-1e400", "p-1e400", "h-2^63",
+            "n-below-2"])
+    def test_errors_name_the_input_out_of_the_domain(self, grid, families, message):
+        got = outcome(lambda: emit_epsilon_curve(
+            grid, [HypothesisSpec(h, p) for h, p in families]))
+        assert got == (ValueError, message)
 
 
 class TestEpsilonCurveImpliedDelta:

@@ -434,25 +434,40 @@ class TestOutputContract:
         assert "hyperplane count p must be positive" in err
 
 
+MAX = 2**63 - 1
+
+
 class TestHugeP:
-    # ln C(99, i) * p leaves the float range: at 10**308 the terms overflow
-    # to inf, at 10**400 p does not convert to a float at all
-    @pytest.mark.parametrize("p", [10**308, 10**400], ids=["1e308", "1e400"])
-    @pytest.mark.parametrize("argv", [
+    # p is refused past 2^63-1, the top of the accepted domain; at 2^63-1
+    # every log the commands form is a finite float
+    HUGE_P_ARGVS = pytest.mark.parametrize("argv", [
         ["bound", "--n", "100", "--eps", "0.5", "--h", "3"],
         ["solve-eps", "--n", "100", "--delta", "0.01", "--h", "3"],
         ["solve-n", "--delta", "0.01", "--eps", "0.05", "--h", "3"],
     ])
-    def test_log_count_past_the_float_range_exit_1(self, capsys, argv, p):
+
+    @pytest.mark.parametrize("p", [2**63, 10**308, 10**400], ids=["2^63", "1e308", "1e400"])
+    @HUGE_P_ARGVS
+    def test_p_past_the_domain_exit_1(self, capsys, argv, p):
         code, out, err = run_cli(capsys, *argv, "--p", str(p))
         assert code == 1
         assert out == ""
-        assert err.startswith("error: log count is not a finite float at n=")
-        assert f", h=3, p={p}\n" in err
+        assert err == f"error: hyperplane count p must be at most 2^63-1, got {p}\n"
 
-    @pytest.mark.parametrize("p", [10**308, 10**400], ids=["1e308", "1e400"])
-    def test_curve_past_the_float_range_exit_1(self, capsys, tmp_path, monkeypatch, p):
-        # at 10**308 and h = 1 every value is inf; 10**400 is past a float
+    @HUGE_P_ARGVS
+    def test_largest_p_gives_finite_floats(self, capsys, argv):
+        # solve-n finds no bracket below the ceiling and exits 3
+        code, out, err = run_cli(capsys, *argv, "--p", str(MAX), "--format", "json")
+        if argv[0] == "solve-n":
+            assert (code, out) == (3, "")
+            assert err.startswith("error: no sample size up to ") and err.count("\n") == 1
+            return
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert all(math.isfinite(v) for v in result.values() if isinstance(v, float))
+
+    @pytest.mark.parametrize("p", [2**63, 10**308, 10**400], ids=["2^63", "1e308", "1e400"])
+    def test_curve_past_the_domain_exit_1(self, capsys, tmp_path, monkeypatch, p):
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(
             capsys, "curve", "--n-start", "2", "--n-end", "100", "--n-points", "3",
@@ -460,8 +475,19 @@ class TestHugeP:
         )
         assert code == 1
         assert out == ""
-        assert err == f"error: divergence eps is not a finite float at n=2, h=1, p={p}\n"
+        assert err == f"error: hyperplane count p must be at most 2^63-1, got {p}\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_curve_at_the_domain_corner_is_finite(self, capsys, tmp_path):
+        out_file = tmp_path / "c.csv"
+        code, _, err = run_cli(
+            capsys, "curve", "--n-start", "2", "--n-end", str(MAX), "--n-points", "3",
+            "--h-list", str(MAX), "--p-list", str(MAX), "--out", str(out_file),
+        )
+        assert (code, err) == (0, "")
+        rows = out_file.read_text().splitlines()[1:]
+        assert len(rows) == 3
+        assert all(math.isfinite(float(row.split(",")[3])) for row in rows)
 
 
 class TestCountPastTheDigitLimit:
@@ -499,7 +525,7 @@ class TestCountPastTheDigitLimit:
         yield sys.set_int_max_str_digits
         sys.set_int_max_str_digits(old)
 
-    @pytest.mark.parametrize("p", [10**9, 10**20], ids=["1e9", "1e20"])
+    @pytest.mark.parametrize("p", [10**9, MAX], ids=["1e9", "2^63-1"])
     def test_huge_p_is_refused_before_the_count_is_built(self, capsys, monkeypatch,
                                                          set_limit, p):
         # the count would take gigabytes; its log decides
@@ -536,48 +562,38 @@ class TestCountPastTheDigitLimit:
         assert f"({limit} digits)" in err
 
 
-class TestNPastTheFloatRange:
-    # n * eps^2 / 4 and the curve grid's n_end / n_start turn n into a float,
-    # which overflows past about 1.8e308; solve-n's ladder climbs there when
-    # the ceiling does, passing 2^1024
-    BIG = str(10**400)
+class TestNPastTheDomain:
+    # n, a ceiling and a curve's n_end are refused past 2^63-1, the top of
+    # the accepted domain, before any of them meets a float
+    CASES = pytest.mark.parametrize("argv, message", [
+        (["bound", "--n", "{big}", "--eps", "0.1", "--h", "1"],
+         "sample size n must be at most 2^63-1, got {big}"),
+        (["solve-eps", "--n", "{big}", "--delta", "0.1", "--h", "1"],
+         "sample size n must be at most 2^63-1, got {big}"),
+        (["curve", "--n-start", "2", "--n-end", "{big}", "--n-points", "3",
+          "--h-list", "1", "--p-list", "1", "--out", "c.csv"],
+         "--n-end must be at most 2^63-1, got {big}"),
+        (["solve-n", "--delta", "0.01", "--eps", "1e-300", "--h", "1",
+          "--ceiling", "{big}"],
+         "ceiling must be at most 2^63-1, got {big}"),
+    ], ids=["bound", "solve-eps", "curve", "solve-n"])
+    BIGS = pytest.mark.parametrize("big", [2**63, 10**400], ids=["2^63", "1e400"])
 
-    @pytest.mark.parametrize("argv", [
-        ["bound", "--n", BIG, "--eps", "0.1", "--h", "1"],
-        ["solve-eps", "--n", BIG, "--delta", "0.1", "--h", "1"],
-        ["curve", "--n-start", "2", "--n-end", BIG, "--n-points", "3",
-         "--h-list", "1", "--p-list", "1", "--out", "c.csv"],
-        ["solve-n", "--delta", "0.01", "--eps", "1e-300", "--h", "1",
-         "--ceiling", BIG],
-    ], ids=lambda argv: argv[0])
-    def test_exit_1_with_one_error_line(self, capsys, tmp_path, monkeypatch, argv):
+    @BIGS
+    @CASES
+    def test_exit_1_with_one_line_naming_the_input(self, capsys, tmp_path, monkeypatch,
+                                                   argv, message, big):
         monkeypatch.chdir(tmp_path)
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        code, out, err = run_cli(capsys, *(a.format(big=big) for a in argv))
+        assert (code, out) == (1, "")
+        assert err == f"error: {message.format(big=big)}\n"
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("argv, message", [
-        (["bound", "--n", BIG, "--eps", "0.1", "--h", "1"],
-         f"log bound is not a finite float at n={BIG}, h=1, p=1"),
-        (["solve-eps", "--n", BIG, "--delta", "0.1", "--h", "1"],
-         f"sample size n is not a finite float at n={BIG}, h=1, p=1"),
-        (["curve", "--n-start", "2", "--n-end", BIG, "--n-points", "3",
-          "--h-list", "1", "--p-list", "1", "--out", "c.csv"],
-         f"--n-end must fit a float, got {BIG}"),
-    ], ids=["bound", "solve-eps", "curve"])
-    def test_the_error_names_the_inputs(self, capsys, tmp_path, monkeypatch, argv, message):
-        monkeypatch.chdir(tmp_path)
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (1, "")
-        assert err == f"error: {message}\n"
-
     @pytest.mark.parametrize("n_start", [2, 3, 7])
-    def test_curve_grid_ends_at_the_float_maximum(self, capsys, tmp_path, n_start):
-        # n_start times the float ratio n_end / n_start can round to inf at
-        # the last point; the grid clamps it to n_end before rounding
-        n_end = int(sys.float_info.max)
+    def test_curve_grid_ends_at_the_top_of_the_domain(self, capsys, tmp_path, n_start):
+        # n_start times the float ratio n_end / n_start rounds to 2^63 at the
+        # last point; the grid clamps it to n_end before rounding
+        n_end = MAX
         out_file = tmp_path / "c.csv"
         code, _, err = run_cli(capsys, "curve", "--n-start", str(n_start),
                                "--n-end", str(n_end), "--n-points", "3",

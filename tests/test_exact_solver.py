@@ -94,6 +94,13 @@ def family_and_n_past_2h(draw):
     return h, draw(st.integers(max(lo, 2**bits), min(2 ** (bits + 1) - 1, 2**63 - 2)))
 
 
+@st.composite
+def n_up_to_the_domain(draw):
+    """n in 2..2^63-2, uniform over bit lengths so every scale gets examples."""
+    bits = draw(st.integers(1, 62))
+    return draw(st.integers(2**bits, min(2 ** (bits + 1) - 1, 2**63 - 2)))
+
+
 def last_concavity_failure(h, p):
     """The largest n <= 2h with N(n-1) * N(n+1) > N(n)^2, or 1 if none."""
     failures = [
@@ -132,3 +139,21 @@ class TestSingleCrossing:
         # the scan that (b) rests on finds failures, so (b) is not vacuous
         assert all(last_concavity_failure(h, 1) == 1 for h in range(1, 13))
         assert any(last_concavity_failure(h, p) > 1 for h in range(1, 13) for p in (2, 4, 16))
+        # at p >= 2 the failures below 2h + 1 reach far: up to n = 16 at (8, 64)
+        assert last_concavity_failure(8, 64) == 16
+
+    @given(st.integers(0, 64), n_up_to_the_domain())
+    @example(0, 2)
+    @example(64, 2)
+    @example(64, 65)
+    @example(64, 66)
+    @example(64, 2**63 - 2)
+    @settings(max_examples=300, deadline=None)
+    def test_p_1_is_log_concave_from_n_2(self, h, n):
+        # the proof in solve_min_n_trace's docstring, at its two steps: with
+        # m = n - 1 and S(m) = N(n) / 2, Pascal's rule gives S(m + 1) =
+        # 2 S(m) - C(m, h), and then N(n-1) * N(n+1) <= N(n)^2 at every n
+        m = n - 1
+        s_m, s_next = count(n, h, 1) // 2, count(n + 1, h, 1) // 2
+        assert s_next == 2 * s_m - math.comb(m, h)
+        assert count(n - 1, h, 1) * count(n + 1, h, 1) <= count(n, h, 1) ** 2

@@ -189,6 +189,24 @@ def test_only_rational_lp_reads_the_tableau_layout(path):
     assert lines == [], f"{path.name} reads Tableau's layout at lines {lines}"
 
 
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if p.name != "oracle.py"],
+    ids=lambda p: p.name,
+)
+def test_only_the_oracle_names_overflow_error(path):
+    # every integer the calculator takes is at most 2^63-1, checked where it
+    # enters, so no float it forms can overflow; the oracle's float sort keys
+    # of huge rational coordinates are a separate matter
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "OverflowError"
+    ]
+    assert lines == [], f"{path.name} names OverflowError at lines {lines}"
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_process_pool_imports(path):
     # every count runs in one process, so no module imports a pool, even

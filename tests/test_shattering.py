@@ -141,47 +141,57 @@ class TestShatterLog:
         assert abs(got - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
+MAX = 2**63 - 1
+PAST_THE_DOMAIN = pytest.mark.parametrize(
+    "big", [2**63, 10**308, 10**400], ids=["2^63", "1e308", "1e400"])
+
+
 class TestFloatFold:
-    @pytest.mark.parametrize("p", [10**308, 10**400], ids=["1e308", "1e400"])
-    def test_log_count_past_the_float_range_raises(self, p):
-        # 10**308 fits a float and the terms overflow to inf, where inf - inf
-        # would be NaN; 10**400 does not convert to a float at all
-        with pytest.raises(ValueError, match=rf"n=100, h=3, p={p}$"):
-            shatter_log(100, HypothesisSpec(3, p))
+    """The log path's floats over the accepted domain, inputs up to 2^63-1:
+    finite at its top corner, and a ValueError at entry past it."""
 
-    @pytest.mark.parametrize("p", [10**308, 10**400], ids=["1e308", "1e400"])
-    @pytest.mark.parametrize("call, at", [
-        (lambda spec: epsilon_curve(100, spec), "n=100, h=3"),
-    ], ids=["epsilon_curve"])
-    def test_curve_functions_past_the_float_range_raise(self, call, at, p):
-        # at 10**308, h * p or p times a log leaves the float range (as inf
-        # or as an OverflowError converting h * p); at 10**400 p itself does
-        with pytest.raises(ValueError, match=rf"not a finite float at {at}, p={p}$"):
-            call(HypothesisSpec(3, p))
+    @PAST_THE_DOMAIN
+    def test_p_past_the_domain_raises(self, big):
+        with pytest.raises(ValueError, match=rf"^hyperplane count p must be at most 2\^63-1, got {big}$"):
+            shatter_log(100, HypothesisSpec(3, big))
 
-    @pytest.mark.parametrize("call", [
-        lambda spec: shatter_upper_closed(100, spec),
-    ], ids=["shatter_upper_closed"])
-    def test_closed_form_with_h_past_the_float_range_raises(self, call):
-        # 10**400 * ln(e(n-1)) would raise OverflowError converting h; the
-        # closed form takes the product as inf and reports it like a huge p
-        h = 10**400
-        with pytest.raises(ValueError, match=rf"not a finite float at n=100, h={h}, p=1$"):
-            call(HypothesisSpec(h, 1))
+    @pytest.mark.parametrize("n", [100, MAX], ids=["100", "2^63-1"])
+    def test_log_count_at_the_largest_p_is_finite(self, n):
+        got = shatter_log(n, HypothesisSpec(3, MAX)).log_value
+        assert math.isfinite(got)
+        assert got == _reference_ln_count(n, 3, MAX)
 
-    @pytest.mark.parametrize("call", [epsilon_curve], ids=["asymptotic_condition"])
-    def test_margin_with_n_past_the_float_range_raises(self, call):
-        # the asymptotic condition balances at epsilon_curve; sqrt(n) would
-        # raise OverflowError converting n, so the curve takes it as inf and
-        # reports it like a huge p
-        n = 10**400
-        with pytest.raises(ValueError, match=rf"not a finite float at n={n}, h=3, p=1$"):
-            call(n, HypothesisSpec(3, 1))
+    @PAST_THE_DOMAIN
+    def test_curve_with_p_past_the_domain_raises(self, big):
+        with pytest.raises(ValueError, match=rf"^hyperplane count p must be at most 2\^63-1, got {big}$"):
+            epsilon_curve(100, HypothesisSpec(3, big))
+
+    @PAST_THE_DOMAIN
+    def test_closed_form_with_h_past_the_domain_raises(self, big):
+        with pytest.raises(ValueError, match=rf"^dimension h must be at most 2\^63-1, got {big}$"):
+            shatter_upper_closed(100, HypothesisSpec(big, 1))
+
+    def test_closed_form_at_the_largest_h_dominates_the_count(self):
+        # min(h, n - 1) = 99 terms: the count is 2^100 exactly
+        spec = HypothesisSpec(MAX, 1)
+        got = shatter_upper_closed(100, spec).log_value
+        assert math.isfinite(got)
+        assert shatter_log(100, spec).log_value <= got
+
+    @PAST_THE_DOMAIN
+    def test_margin_with_n_past_the_domain_raises(self, big):
+        # the asymptotic condition balances at epsilon_curve
+        with pytest.raises(ValueError, match=rf"^sample size n must be at most 2\^63-1, got {big}$"):
+            epsilon_curve(big, HypothesisSpec(3, 1))
+
+    def test_margin_at_the_largest_n_is_the_expression(self):
+        got = epsilon_curve(MAX, HypothesisSpec(3, 1))
+        assert got == 2.0 * math.sqrt(3 * math.log(MAX) + (math.log(2.0) + 3)) / math.sqrt(MAX)
 
     @pytest.mark.parametrize("n,h", [(1, 3), (2, 3), (100, 0)])
-    def test_huge_p_with_unit_binomials_stays_exact(self, n, h):
+    def test_largest_p_with_unit_binomials_stays_exact(self, n, h):
         # every C(n-1, i) in the sum is 1, so the count is 2(min(h, n-1) + 1)
-        spec = HypothesisSpec(h, 10**400)
+        spec = HypothesisSpec(h, MAX)
         got = shatter_log(n, spec).log_value
         assert got == pytest.approx(math.log(shatter_multi(n, spec)), abs=1e-15)
 
@@ -196,46 +206,36 @@ def log_uniform_n(draw):
 def _reference_ln_count(n, h, p):
     """ln N(n) as _log_binomial_row and _log_add give it, term by term."""
     acc = -math.inf
-    try:
-        for c in _log_binomial_row(n - 1, min(h, n - 1)):
-            acc = _log_add(acc, p * c if c else 0.0)
-    except OverflowError:
-        acc = math.inf
-    if not math.isfinite(acc):
-        raise ValueError(f"log count is not a finite float at n={n}, h={h}, p={p}")
+    for c in _log_binomial_row(n - 1, min(h, n - 1)):
+        acc = _log_add(acc, p * c)
     return LN2 + acc
 
 
-def _value_or_error(f, *args):
-    try:
-        return f(*args)
-    except ValueError as exc:
-        return str(exc)
-
-
 class TestLnCountKernel:
-    # h runs past the end of the kernel's ln i table, _LN_I_END = 64
+    # h runs past the end of the kernel's ln i table, _LN_I_END = 64; p
+    # reaches the top of the domain, 2^63-1
     @given(
         log_uniform_n(),
         st.integers(0, 200),
-        st.one_of(st.integers(1, 16), st.sampled_from([10**300, 10**400])),
+        st.one_of(st.integers(1, 16), st.integers(1, MAX), st.just(MAX)),
     )
-    @example(2**63 - 1, 60, 10**300)
-    @example(2**63 - 1, 60, 16)
-    @example(2**63 - 1, _LN_I_END - 1, 16)
-    @example(2**63 - 1, _LN_I_END, 16)
-    @example(2**63 - 1, 200, 16)
-    @example(2**63 - 1, 200, 10**400)
+    @example(MAX, 60, MAX)
+    @example(MAX, 60, 16)
+    @example(MAX, _LN_I_END - 1, 16)
+    @example(MAX, _LN_I_END, 16)
+    @example(MAX, 200, 16)
+    @example(MAX, 200, MAX)
     @example(_LN_I_END + 1, _LN_I_END, 3)  # n = h + 1: the whole row
     @example(_LN_I_END, 200, 3)  # n < h + 1: the row ends first
-    @example(5, 4, 10**400)
-    @example(2, 60, 10**400)
-    @example(1, 0, 10**400)
+    @example(5, 4, MAX)
+    @example(2, 60, MAX)
+    @example(1, 0, MAX)
     @example(1, 200, 16)
     @settings(max_examples=500)
     def test_bit_identical_to_the_l0_helpers(self, n, h, p):
-        got = _value_or_error(_ln_count, n, h, p)
-        assert got == _value_or_error(_reference_ln_count, n, h, p)
+        got = _ln_count(n, h, p)
+        assert math.isfinite(got)
+        assert got == _reference_ln_count(n, h, p)
 
     def test_ln_i_table_is_math_log(self):
         assert len(_LN_I) == _LN_I_END
@@ -314,12 +314,25 @@ class TestClosedFormUpperBound:
         with pytest.raises(ValueError, match="needs h >= 1, got 0"):
             shatter_upper_closed(5, HypothesisSpec(0, 1))
 
-    @pytest.mark.parametrize("p", [10**308, 10**400], ids=["1e308", "1e400"])
-    def test_log_past_the_float_range_raises(self, p):
-        # 10**308 fits a float and the product overflows to inf; 10**400
-        # does not convert to a float at all
-        with pytest.raises(ValueError, match=rf"n=100, h=3, p={p}$"):
-            shatter_upper_closed(100, HypothesisSpec(3, p))
+    @PAST_THE_DOMAIN
+    def test_p_past_the_domain_raises(self, big):
+        with pytest.raises(ValueError, match=rf"^hyperplane count p must be at most 2\^63-1, got {big}$"):
+            shatter_upper_closed(100, HypothesisSpec(3, big))
+
+    @PAST_THE_DOMAIN
+    def test_n_past_the_domain_raises(self, big):
+        with pytest.raises(ValueError, match=rf"^sample size n must be at most 2\^63-1, got {big}$"):
+            shatter_upper_closed(big, HypothesisSpec(3))
+
+    @pytest.mark.parametrize("n,h,p", [(100, 3, MAX), (MAX, 3, MAX), (MAX, MAX, MAX)])
+    def test_log_at_the_domain_corner_is_finite(self, n, h, p):
+        # below 5e39 at the corner; shatter_log's h-term fold cannot reach
+        # h = 2^63-1 there, so dominance is checked at h = 3 only
+        spec = HypothesisSpec(h, p)
+        got = shatter_upper_closed(n, spec).log_value
+        assert math.isfinite(got) and got < 5e39
+        if h == 3:
+            assert shatter_log(n, spec).log_value <= got
 
 
 class TestBinomialSandwich:
@@ -343,25 +356,26 @@ class TestBinomialSandwich:
                 assert binom_lower_bound(m, k).log_value <= mid
                 assert mid <= binom_upper_bound(m, k).log_value
 
-    @pytest.mark.parametrize("k", [1, 2, 10**200], ids=["1", "2", "1e200"])
-    def test_m_over_k_past_the_float_range(self, k):
-        # m / k would raise OverflowError; its log and the bounds are finite
-        m = 10**400
+    # 64897 = 7 * 73 * 127 divides 2^63-1, so m // k is m / k there
+    @pytest.mark.parametrize("k", [1, 2, 64897, MAX], ids=["1", "2", "64897", "2^63-1"])
+    def test_m_at_the_top_of_the_domain(self, k):
+        m = MAX
         lower = binom_lower_bound(m, k).log_value
-        assert lower == pytest.approx(k * math.log(10**400 // k), rel=1e-15)
+        assert lower == pytest.approx(k * math.log(m // k), rel=1e-15)
         assert binom_upper_bound(m, k).log_value == pytest.approx(lower + k, rel=1e-15)
 
-    def test_k_equal_to_m_past_the_float_range(self):
+    def test_k_equal_to_m_at_the_top_of_the_domain(self):
         # (m/k)^k = 1 whatever k is
-        assert binom_lower_bound(10**400, 10**400).log_value == 0.0
+        assert binom_lower_bound(MAX, MAX).log_value == 0.0
 
+    @PAST_THE_DOMAIN
     @pytest.mark.parametrize("call", [binom_lower_bound, binom_upper_bound],
                              ids=["lower", "upper"])
-    def test_bound_past_the_float_range_raises(self, call):
-        # k * ln(m / k) = 10**399 * ln 10 leaves the float range
-        m, k = 10**400, 10**399
-        with pytest.raises(ValueError, match=rf"not a finite float at m={m}, k={k}$"):
-            call(m, k)
+    def test_m_past_the_domain_raises(self, call, big):
+        # k <= m, so m's check covers k as well
+        for k in (1, big // 10, big):
+            with pytest.raises(ValueError, match=rf"^m must be at most 2\^63-1, got {big}$"):
+                call(big, k)
 
     def test_rejects_out_of_range(self):
         for m, k in [(4, 0), (4, 5), (0, 1)]:
