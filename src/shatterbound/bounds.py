@@ -52,7 +52,16 @@ class NoBracketError(RuntimeError):
 
 @dataclass(frozen=True)
 class BracketTrace:
-    """Audit record of the bracket expansion, bisection and log-bound at n*."""
+    """Audit record of the search for n*.
+
+    expansion: each probe (n, ln delta(n)) in order; every probe but the last
+    lies above the target, and each is the one before plus the bound's own
+    step (or the ceiling). bracket: (the last probe above the target, the
+    first at or below it). bisection_steps: the points compared inside the
+    bracket, none when it is (n* - 1, n*). tail_probes: the
+    points past n* checked at or below the target. delta_log_at_n: ln
+    delta(n*) from its one evaluation.
+    """
 
     expansion: tuple[tuple[int, float], ...]
     bracket: tuple[int, int]
@@ -90,19 +99,29 @@ def solve_min_n_trace(
 ) -> tuple[int, BracketTrace]:
     """Smallest n with delta_bound(n) <= ln(delta), plus the search trace.
 
-    The search walks the doubling ladder n = 1, 2, 4, ... whose last rung
-    is the ceiling, to the first point at or below the target. At n = 1 the
-    log-bound is ln 4 - eps^2/4 > 0 > ln(delta), so that point has a
-    predecessor above the target and the two bracket the crossing. Integer
-    bisection then pins the crossing, moving the bracket's low end only to
-    points it compared above the target, so n* - 1 lies above it and n* is
-    minimal by construction. At p = 1 the bound never re-crosses: with
-    m = n - 1 and S(m) = sum_{i<=h} C(m, i) = N(n)/2, Pascal's rule gives
-    S(m+1) = 2 S(m) - C(m, h), so N(n+1)/N(n) = 2 - C(m, h)/S(m). That is 2
+    The search steps by the bound itself. With f(n) = ln 2 + ln N(n) -
+    n*eps^2/4 the log-bound and t = ln(delta): N(n) does not decrease in n,
+    as no C(n-1, i) does, so f(m) >= f(n) - (m - n)*eps^2/4 for m >= n and
+    no m < n + 4*(f(n) - t)/eps^2 reaches the target. From n = 1, where
+    f(1) = ln 4 - eps^2/4 > 0 > t, each probe above the target is followed
+    by n + ceil(4*(f(n) - t)/eps^2), a step of at least 1, or by the
+    ceiling where that passes it (also when eps*eps underflows to 0); a
+    ceiling above the target raises NoBracketError. Every point a step skips
+    lies above the target, with no single-crossing assumption, and in exact
+    arithmetic the steps land on n* itself. The last probe above the target
+    and the first at or below it bracket the crossing. Integer bisection
+    inside the bracket pins a float step that landed past the crossing
+    (rounding allows that only above n ~ 2^50), moving the low end only to
+    points it compared above the target; it takes no step when the bracket
+    is (n* - 1, n*). So n* - 1 is always a compared point above the
+    target, and n* is minimal.
+
+    At p = 1 the bound never re-crosses: with m = n - 1 and S(m) =
+    sum_{i<=h} C(m, i) = N(n)/2, Pascal's rule gives S(m+1) = 2 S(m) -
+    C(m, h), so N(n+1)/N(n) = 2 - C(m, h)/S(m). That is 2
     below m = h, where C(m, h) = 0, and from m = h on S(m)/C(m, h) =
     sum_{i<=h} prod_{j=i+1..h} j/(m-j+1) does not increase in m. So ln N,
-    and with it f(n) = ln 2 + ln N(n) - n*eps^2/4, is concave in n; as
-    f(1) = ln 4 - eps^2/4 > 0 > ln(delta), f(n) > ln(delta) exactly for
+    and with it f, is concave in n; as f(1) > 0 > t, f(n) > t exactly for
     n < n*. At p >= 2 concavity can fail below n = 2h + 1 (up to n = 16 at
     h = 8, p = 64), so up to 12 geometric tail probes beyond n*, none past
     the ceiling, must lie at or below the target, else RuntimeError. The
@@ -117,7 +136,8 @@ def solve_min_n_trace(
     h, p = spec.h, spec.p
 
     expansion: list[tuple[int, float]] = []
-    # a ceiling below 1 is the first rung, so _log_bound rejects it
+    e2 = eps * eps
+    # a ceiling below 1 is the first probe, so _log_bound rejects it
     lo, n = 0, min(1, ceiling)
     while True:
         cur = _log_bound(n, eps, h, p)
@@ -126,7 +146,10 @@ def solve_min_n_trace(
             break
         if n == ceiling:
             raise NoBracketError(delta, eps, spec, ceiling, cur)
-        lo, n = n, min(2 * n, ceiling)
+        # no m < n + step meets the target; an eps*eps that underflows to
+        # 0, or a step past the ceiling, lands on the ceiling
+        step = 4.0 * (cur - target) / e2 if e2 else math.inf
+        lo, n = n, ceiling if step >= ceiling - n else n + math.ceil(step)
 
     hi, hi_log = n, cur
     bracket = (lo, hi)

@@ -41,9 +41,19 @@ __all__ = [
 _MAX_INPUT = 2**63 - 1
 
 
+def _shown(value: int) -> str:
+    """value in decimal for an error message, or by its bit length where it
+    has more digits than sys.get_int_max_str_digits() lets str() write."""
+    try:
+        return str(value)
+    except ValueError:
+        kind = "a negative int" if value < 0 else "an int"
+        return f"{kind} of {value.bit_length()} bits"
+
+
 def _require_at_most_max(name: str, value: int) -> None:
     if value > _MAX_INPUT:
-        raise ValueError(f"{name} must be at most 2^63-1, got {value}")
+        raise ValueError(f"{name} must be at most 2^63-1, got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -55,16 +65,16 @@ class HypothesisSpec:
 
     def __post_init__(self) -> None:
         if self.h < 0:
-            raise ValueError(f"dimension h must be nonnegative, got {self.h}")
+            raise ValueError(f"dimension h must be nonnegative, got {_shown(self.h)}")
         if self.p < 1:
-            raise ValueError(f"hyperplane count p must be positive, got {self.p}")
+            raise ValueError(f"hyperplane count p must be positive, got {_shown(self.p)}")
         _require_at_most_max("dimension h", self.h)
         _require_at_most_max("hyperplane count p", self.p)
 
 
 def _require_n(n: int) -> None:
     if n < 1:
-        raise ValueError(f"sample size n must be positive, got {n}")
+        raise ValueError(f"sample size n must be positive, got {_shown(n)}")
     _require_at_most_max("sample size n", n)
 
 
@@ -123,7 +133,7 @@ def complement_count(n: int, h: int) -> int:
     exactly.
     """
     if h < 0:
-        raise ValueError(f"dimension h must be nonnegative, got {h}")
+        raise ValueError(f"dimension h must be nonnegative, got {_shown(h)}")
     _require_at_most_max("dimension h", h)
     _require_n(n)
     if h >= n - 1:
@@ -142,7 +152,7 @@ def shatter_upper_closed(n: int, spec: HypothesisSpec) -> LogNum:
     """
     h, p = spec.h, spec.p
     if n < 2:
-        raise ValueError(f"closed-form bound needs n >= 2, got {n}")
+        raise ValueError(f"closed-form bound needs n >= 2, got {_shown(n)}")
     _require_at_most_max("sample size n", n)
     if h < 1:
         raise ValueError(f"closed-form bound needs h >= 1, got {h}")
@@ -169,7 +179,8 @@ def _sandwich_log(m: int, k: int, shift: float) -> float:
     """k * (shift + ln(m/k)), the sandwich bounds' log: a finite float, since
     k <= m <= 2^63-1."""
     if k <= 0 or k > m:
-        raise ValueError(f"bounds hold for m >= k > 0, got (m={m}, k={k})")
+        raise ValueError(
+            f"bounds hold for m >= k > 0, got (m={_shown(m)}, k={_shown(k)})")
     _require_at_most_max("m", m)
     return k * (shift + math.log(m / k))
 
@@ -198,7 +209,7 @@ def emit_epsilon_curve(
     if not specs:
         return []
     if n_grid[0] < 2:
-        raise ValueError(f"divergence curve needs n >= 2, got {n_grid[0]}")
+        raise ValueError(f"divergence curve needs n >= 2, got {_shown(n_grid[0])}")
     points = [(n, math.log(n), math.sqrt(n)) for n in n_grid]
     sqrt, new_row = math.sqrt, tuple.__new__
     rows: list[CurveRow] = []

@@ -127,8 +127,9 @@ class TestSolveMinN:
 
     def test_recrossing_raises_under_optimize(self):
         # a bound that climbs back over the target past n* must be reported
-        # even with asserts stripped; n* = 9587 here and the doubling ladder
-        # stops at 16384, so only the tail probes see the patched region
+        # even with asserts stripped; n* = 9587 here, the expansion steps
+        # from 1 straight to it and the bisection stays below it, so only the
+        # tail probes see the patched region
         script = textwrap.dedent(
             """
             import sys
@@ -161,8 +162,8 @@ class TestSolveMinN:
         # an exact scan of every n up to n* on each calculator family
         # (h in 1..4, p in 1, 4, 16) at eps = 0.2, the largest n* being
         # 66 595 at (4, 16): the bound stays above the target until n* and
-        # meets it there, so the first ladder point at or below the target
-        # brackets the one crossing and every earlier ladder point lies above it
+        # meets it there, so the first expansion probe at or below the target
+        # brackets the one crossing and every earlier probe lies above it
         scanned = 0
         for h, p in itertools.product((1, 2, 3, 4), (1, 4, 16)):
             spec = HypothesisSpec(h, p)
@@ -197,15 +198,55 @@ class TestSolveMinN:
         assert LN_001 < info.value.last_log < math.inf
 
     @pytest.mark.parametrize(
-        ("ceiling", "expected_bracket"),
-        [(1026778, (524288, 1026778)), (1048576, (524288, 1048576))],
-        ids=["crossing-at-ceiling", "power-of-two-ceiling"],
-    )
-    def test_ceiling_is_the_ladders_last_rung(self, ceiling, expected_bracket):
+        "ceiling", [1026778, 1048576], ids=["crossing-at-ceiling", "power-of-two-ceiling"])
+    def test_ceiling_is_the_ladders_last_rung(self, ceiling):
+        # the headline's steps land on 1026777 and then n* = 1026778, which
+        # is the ceiling or below it; a ceiling the steps never reach is
+        # never probed
         n_star, trace = solve_min_n_trace(0.01, 0.05, HypothesisSpec(3, 16), ceiling)
         assert n_star == 1026778
-        assert trace.bracket == expected_bracket
-        assert [n for n, _ in trace.expansion][-2:] == list(expected_bracket)
+        assert trace.bracket == (1026777, 1026778)
+        assert [n for n, _ in trace.expansion][-2:] == [1026777, 1026778]
+
+    def test_step_past_the_ceiling_lands_on_it(self, monkeypatch):
+        # from 993741 the headline steps to 1024267; a ceiling of 10^6 takes
+        # that probe's place and, above the target, ends the search
+        seen = bound_evaluations(monkeypatch)
+        with pytest.raises(NoBracketError) as info:
+            solve_min_n_trace(0.01, 0.05, HypothesisSpec(3, 16), 10**6)
+        assert seen == [1, 9587, 667817, 993741, 10**6]
+        assert info.value.last_log == delta_bound(10**6, 0.05, HypothesisSpec(3, 16)).log_value
+
+    def test_float_band_solves_within_the_ladders_budget(self, monkeypatch):
+        # n* near 10^18, where a float step can land past the crossing and
+        # the bisection pins it, so the bound at n* - 1 is one the solver
+        # compared above the target; no solve that finds a bracket may take
+        # more evaluations than the doubling ladder's worst case, 64 rungs,
+        # 63 bisection steps and 12 tail probes
+        seen = bound_evaluations(monkeypatch)
+        solved = 0
+        for h, p in ((0, 1), (1, 1), (2, 1), (1, 4), (3, 16)):
+            spec = HypothesisSpec(h, p)
+            for k in range(100):
+                eps = 5e-9 * (1 + k / 50)
+                seen.clear()
+                try:
+                    n_star = solve_min_n(0.01, eps, spec)
+                except NoBracketError:
+                    continue
+                assert len(seen) <= 64 + 63 + 12, (h, p, k)
+                assert delta_bound(n_star - 1, eps, spec).log_value > LN_001
+                solved += 1
+        assert solved == 347
+
+    @pytest.mark.parametrize("eps", [1e-160, 1e-300, 5e-324])
+    def test_eps_squared_underflow_steps_to_the_ceiling(self, monkeypatch, eps):
+        # eps * eps is subnormal or 0.0, so the step is infinite and lands on
+        # the ceiling
+        seen = bound_evaluations(monkeypatch)
+        with pytest.raises(NoBracketError):
+            solve_min_n_trace(0.01, eps, HypothesisSpec(1), 10**9)
+        assert seen == [1, 10**9]
 
     def test_ceiling_just_below_the_crossing_raises(self):
         with pytest.raises(NoBracketError) as info:
@@ -214,24 +255,25 @@ class TestSolveMinN:
         assert LN_001 < info.value.last_log
 
     def test_each_point_is_evaluated_once(self, monkeypatch):
-        # the bracket already compared n* - 1 and the ceiling, so neither is
-        # evaluated again: 21 ladder rungs up to 2^20, 19 bisection steps
-        # and 12 tail probes at the headline, the 11 rungs 1..1024 before
-        # NoBracketError
+        # the expansion already compared n* - 1 and the ceiling, so neither
+        # is evaluated again: 9 expansion probes ending at n*, 0 bisection
+        # steps and 12 tail probes at the headline; before NoBracketError,
+        # the step from 1 (to 9587) lands on the ceiling 1024
         seen = bound_evaluations(monkeypatch)
         solve_min_n_trace(0.01, 0.05, HypothesisSpec(3, 16))
-        assert len(seen) == len(set(seen)) == 21 + 19 + 12
+        assert len(seen) == len(set(seen)) == 9 + 0 + 12
         seen.clear()
         with pytest.raises(NoBracketError):
             solve_min_n_trace(0.01, 0.05, HypothesisSpec(3, 16), ceiling=1024)
-        assert seen == [2**i for i in range(11)]
+        assert seen == [1, 1024]
 
     def test_crossing_at_the_ceiling_probes_no_tail(self, monkeypatch):
-        # n* is the ladder's last rung, so nothing past it is probed: 21
-        # rungs up to the ceiling and 19 bisection steps, each n once
+        # n* is the expansion's last probe, so nothing past it is probed: 9
+        # expansion probes up to the ceiling and 0 bisection steps, each n once
         seen = bound_evaluations(monkeypatch)
         _, trace = solve_min_n_trace(0.01, 0.05, HypothesisSpec(3, 16), 1026778)
-        assert len(seen) == len(set(seen)) == 21 + 19
+        assert len(seen) == len(set(seen)) == 9 + 0
+        assert trace.bisection_steps == 0
         assert trace.tail_probes == ()
 
     @pytest.mark.parametrize(
@@ -273,10 +315,13 @@ class TestSolveMinN:
         solve_min_n_trace(0.01, 0.05, HypothesisSpec(3, 16))
         assert (len(built), len(checks)) == (0, 1)
 
-    def test_trace_expansion_is_doubling(self):
+    def test_trace_expansion_takes_the_bounds_step(self):
+        # each probe is the previous one plus ceil(4 * (v - ln delta) / eps^2)
         _, trace = solve_min_n_trace(0.01, 0.05, HypothesisSpec(2, 4))
         ns = [n for n, _ in trace.expansion]
-        assert ns == [2**i for i in range(len(ns))]
+        assert ns == [1, 9587, 122501, 155114, 158135, 158382, 158402, 158404]
+        assert ns[1:] == [n + math.ceil(4 * (v - LN_001) / 0.05**2)
+                          for n, v in trace.expansion[:-1]]
         assert all(v <= LN_001 for _, v in trace.tail_probes)
 
 

@@ -111,6 +111,46 @@ def test_library_refuses_past_the_domain(case, big):
     assert str(info.value) == f"{name} must be at most 2^63-1, got {big}"
 
 
+# (call with an int past str()'s digit limit, the message it must give)
+HUGE = 10**5000
+PAST_THE_DIGIT_LIMIT = {
+    "HypothesisSpec-p": (lambda: HypothesisSpec(1, HUGE),
+                         "hyperplane count p must be at most 2^63-1, got an int of 16610 bits"),
+    "HypothesisSpec-h-negative": (lambda: HypothesisSpec(-HUGE),
+                                  "dimension h must be nonnegative, got a negative int of 16610 bits"),
+    "HypothesisSpec-p-negative": (lambda: HypothesisSpec(1, -HUGE),
+                                  "hyperplane count p must be positive, got a negative int of 16610 bits"),
+    "shatter_log-n": (lambda: shatter_log(HUGE, SPEC),
+                      "sample size n must be at most 2^63-1, got an int of 16610 bits"),
+    "complement_count-h": (lambda: complement_count(5, HUGE),
+                           "dimension h must be at most 2^63-1, got an int of 16610 bits"),
+    "complement_count-h-negative": (lambda: complement_count(5, -HUGE),
+                                    "dimension h must be nonnegative, got a negative int of 16610 bits"),
+    "shatter_multi-n-negative": (lambda: shatter_multi(-HUGE, SPEC),
+                                 "sample size n must be positive, got a negative int of 16610 bits"),
+    "shatter_upper_closed-n-negative": (lambda: shatter_upper_closed(-HUGE, SPEC),
+                                        "closed-form bound needs n >= 2, got a negative int of 16610 bits"),
+    "binom_lower_bound-k": (lambda: binom_lower_bound(3, HUGE),
+                            "bounds hold for m >= k > 0, got (m=3, k=an int of 16610 bits)"),
+    "binom_upper_bound-m-k": (lambda: binom_upper_bound(HUGE, 10 * HUGE),
+                              "bounds hold for m >= k > 0, got (m=an int of 16610 bits, k=an int of 16613 bits)"),
+    "emit_epsilon_curve-n-negative": (lambda: emit_epsilon_curve([-HUGE], [SPEC]),
+                                      "divergence curve needs n >= 2, got a negative int of 16610 bits"),
+    "solve_min_n-ceiling-negative": (lambda: solve_min_n(0.01, 0.05, SPEC, ceiling=-HUGE),
+                                     "sample size n must be positive, got a negative int of 16610 bits"),
+}
+
+
+@pytest.mark.parametrize("case", PAST_THE_DIGIT_LIMIT.values(), ids=PAST_THE_DIGIT_LIMIT.keys())
+def test_messages_name_an_int_past_the_digit_limit(case):
+    # str() refuses an int of more than sys.get_int_max_str_digits() digits,
+    # so the message gives its bit length and still names the argument
+    call, message = case
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 BIG = str(2**63)
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shatterbound.bounds import solve_min_n
+from shatterbound.bounds import solve_min_n, solve_min_n_trace
 from shatterbound.cli import main
 from shatterbound.shattering import HypothesisSpec
 
@@ -82,6 +82,24 @@ class TestSolverAgainstTheExactBound:
         # at h = 3, p = 16, with a margin of about -8.8e-5 and a step of 6.25e-4
         assert -1e-4 < margin(1026778, 0.05, 0.01, 3, 16) < -5e-5
         assert 0 < margin(1026777, 0.05, 0.01, 3, 16) < 1e-3
+
+    @given(st.floats(1e-12, 0.5), st.floats(1e-3, 0.5), st.integers(0, 8),
+           st.sampled_from((1, 2, 4, 16)))
+    @example(1e-12, 1e-3, 8, 16)
+    @example(0.5, 0.5, 0, 1)
+    @example(0.01, 0.05, 3, 16)
+    @settings(max_examples=200, deadline=None)
+    def test_steps_reach_the_first_n_the_exact_bound_accepts(self, delta, eps, h, p):
+        # each expansion probe steps past points the bound's own slope keeps
+        # above the target: the probes rise strictly, all but the last lie
+        # above it, and n* is the exact answer
+        n_star, trace = solve_min_n_trace(delta, eps, HypothesisSpec(h, p))
+        assert margin(n_star, eps, delta, h, p) <= 0 < margin(n_star - 1, eps, delta, h, p)
+        ns = [n for n, _ in trace.expansion]
+        assert all(a < b for a, b in zip(ns, ns[1:]))
+        target = math.log(delta)
+        assert all(v > target for _, v in trace.expansion[:-1])
+        assert trace.expansion[-1][1] <= target
 
 
 @st.composite
