@@ -58,16 +58,17 @@ class BracketTrace:
     lies above the target, and each is the one before plus the bound's own
     step (or the ceiling). bracket: (the last probe above the target, the
     first at or below it). bisection_steps: the points compared inside the
-    bracket, none when it is (n* - 1, n*). tail_probes: the
-    points past n* checked at or below the target. delta_log_at_n: ln
-    delta(n*) from its one evaluation.
+    bracket, none when it is (n* - 1, n*). delta_log_at_n: ln delta(n*)
+    from its one evaluation. tail_probes: always (), as the bound provably
+    stays at or below the target past n* (see solve_min_n_trace); it stays
+    while the benchmark's solve-n check reads it.
     """
 
     expansion: tuple[tuple[int, float], ...]
     bracket: tuple[int, int]
     bisection_steps: int
-    tail_probes: tuple[tuple[int, float], ...]
     delta_log_at_n: float
+    tail_probes: tuple[tuple[int, float], ...] = ()
 
 
 def _require_eps(eps: float) -> None:
@@ -116,15 +117,25 @@ def solve_min_n_trace(
     is (n* - 1, n*). So n* - 1 is always a compared point above the
     target, and n* is minimal.
 
-    At p = 1 the bound never re-crosses: with m = n - 1 and S(m) =
-    sum_{i<=h} C(m, i) = N(n)/2, Pascal's rule gives S(m+1) = 2 S(m) -
-    C(m, h), so N(n+1)/N(n) = 2 - C(m, h)/S(m). That is 2
-    below m = h, where C(m, h) = 0, and from m = h on S(m)/C(m, h) =
-    sum_{i<=h} prod_{j=i+1..h} j/(m-j+1) does not increase in m. So ln N,
-    and with it f, is concave in n; as f(1) > 0 > t, f(n) > t exactly for
-    n < n*. At p >= 2 concavity can fail below n = 2h + 1 (up to n = 16 at
-    h = 8, p = 64), so up to 12 geometric tail probes beyond n*, none past
-    the ceiling, must lie at or below the target, else RuntimeError. The
+    No n past n* climbs back above the target, at any h and p, so nothing
+    past n* is probed. In exact arithmetic:
+
+    (A) For h + 1 <= n <= m, N(m)/N(n) <= ((m - h)/(n - h))**(p*h): each
+    factor (m-1-k)/(n-1-k) of C(m-1, i)/C(n-1, i), k < i <= h, is at most
+    (m - h)/(n - h). So f(m) - f(n) <= p*h*ln((m - h)/(n - h)) - (m -
+    n)*eps^2/4, which is concave in m, 0 at m = n and of slope p*h/(n - h)
+    - eps^2/4 there: f(m) <= f(n) for every m >= n once (n - h)*eps^2 >=
+    4*p*h.
+
+    (B) f(n) < 0 implies (n - h)*eps^2 >= 4*p*h, trivially at h = 0. For
+    n <= 2h + 1, C**p >= C for every count and i <= h covers at least half
+    of row n - 1, so 2*N(n) >= 2**n and f(n) >= n*(ln 2 - eps^2/4) > 0.
+    Otherwise let r = (n - 1)/h > 2, so C(n-1, h) >= r**h and f(n) >= 2 ln
+    2 + p*h*ln r - n*eps^2/4. With eps < 1 and p >= 1, f(n) < 0 gives
+    h*(r/4 - ln r) > 2 ln 2 - 1/4 > 0, which past r = 2 needs r > 8.6; then
+    (n - h)*eps^2/4 > 2 ln 2 + p*h*(ln r - 1/4) > p*h.
+
+    As t < 0, f(n*) <= t gives f(m) <= f(n*) <= t for every m >= n*. The
     trace carries n*'s log-bound from its one evaluation, so callers need
     not repeat it.
     """
@@ -161,25 +172,10 @@ def solve_min_n_trace(
         else:
             lo = mid
         steps += 1
-    n_star = hi
-
-    tail: list[tuple[int, float]] = []
-    m = n_star
-    while m < ceiling and len(tail) < 12:
-        m = min(ceiling, max(m + 1, int(m * 1.5)))
-        val = _log_bound(m, eps, h, p)
-        tail.append((m, val))
-        if val > target:
-            raise RuntimeError(
-                f"bound re-crossed the target after n*={n_star}: log-bound "
-                f"{val!r} > {target!r} at n={m}"
-            )
-
-    return n_star, BracketTrace(
+    return hi, BracketTrace(
         expansion=tuple(expansion),
         bracket=bracket,
         bisection_steps=steps,
-        tail_probes=tuple(tail),
         delta_log_at_n=hi_log,
     )
 

@@ -1,10 +1,5 @@
 import itertools
 import math
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +24,8 @@ from shatterbound.shattering import (
 
 LN_001 = math.log(0.01)
 MAX = 2**63 - 1
+# the calculator's (h, p) families and the flat space h = 0
+FAMILIES = tuple(itertools.product((0, 1, 2, 3, 4), (1, 4, 16)))
 PAST_THE_DOMAIN = pytest.mark.parametrize(
     "big", [2**63, 10**308, 10**400], ids=["2^63", "1e308", "1e400"])
 
@@ -125,39 +122,6 @@ class TestSolveMinN:
         with pytest.raises(ValueError, match="delta"):
             solve_min_n(delta, 0.05, HypothesisSpec(1, 1))
 
-    def test_recrossing_raises_under_optimize(self):
-        # a bound that climbs back over the target past n* must be reported
-        # even with asserts stripped; n* = 9587 here, the expansion steps
-        # from 1 straight to it and the bisection stays below it, so only the
-        # tail probes see the patched region
-        script = textwrap.dedent(
-            """
-            import sys
-            import shatterbound.bounds as bounds
-            from shatterbound.shattering import HypothesisSpec
-
-            assert sys.flags.optimize, "run me with python -O"
-            real = bounds._log_bound
-            bounds._log_bound = lambda n, eps, h, p: (
-                0.0 if n > 20000 else real(n, eps, h, p)
-            )
-            try:
-                bounds.solve_min_n(0.01, 0.05, HypothesisSpec(0, 1))
-            except RuntimeError as exc:
-                print(exc)
-            """
-        )
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "re-crossed the target after n*=9587" in proc.stdout
-        assert "at n=21570" in proc.stdout
-
     def test_calculator_families_cross_the_target_once(self):
         # an exact scan of every n up to n* on each calculator family
         # (h in 1..4, p in 1, 4, 16) at eps = 0.2, the largest n* being
@@ -221,8 +185,8 @@ class TestSolveMinN:
         # n* near 10^18, where a float step can land past the crossing and
         # the bisection pins it, so the bound at n* - 1 is one the solver
         # compared above the target; no solve that finds a bracket may take
-        # more evaluations than the doubling ladder's worst case, 64 rungs,
-        # 63 bisection steps and 12 tail probes
+        # more evaluations than the doubling ladder's worst case, 64 rungs
+        # and 63 bisection steps
         seen = bound_evaluations(monkeypatch)
         solved = 0
         for h, p in ((0, 1), (1, 1), (2, 1), (1, 4), (3, 16)):
@@ -234,7 +198,7 @@ class TestSolveMinN:
                     n_star = solve_min_n(0.01, eps, spec)
                 except NoBracketError:
                     continue
-                assert len(seen) <= 64 + 63 + 12, (h, p, k)
+                assert len(seen) <= 64 + 63, (h, p, k)
                 assert delta_bound(n_star - 1, eps, spec).log_value > LN_001
                 solved += 1
         assert solved == 347
@@ -256,12 +220,12 @@ class TestSolveMinN:
 
     def test_each_point_is_evaluated_once(self, monkeypatch):
         # the expansion already compared n* - 1 and the ceiling, so neither
-        # is evaluated again: 9 expansion probes ending at n*, 0 bisection
-        # steps and 12 tail probes at the headline; before NoBracketError,
-        # the step from 1 (to 9587) lands on the ceiling 1024
+        # is evaluated again: 9 expansion probes ending at n* and 0 bisection
+        # steps at the headline; before NoBracketError, the step from 1 (to
+        # 9587) lands on the ceiling 1024
         seen = bound_evaluations(monkeypatch)
         solve_min_n_trace(0.01, 0.05, HypothesisSpec(3, 16))
-        assert len(seen) == len(set(seen)) == 9 + 0 + 12
+        assert len(seen) == len(set(seen)) == 9 + 0
         seen.clear()
         with pytest.raises(NoBracketError):
             solve_min_n_trace(0.01, 0.05, HypothesisSpec(3, 16), ceiling=1024)
@@ -292,7 +256,7 @@ class TestSolveMinN:
             spec = HypothesisSpec(h, p)
             for delta, eps in ((0.01, 0.05), (0.1, 0.2)):
                 n_star, trace = solve_min_n_trace(delta, eps, spec)
-                for n, v in trace.expansion + trace.tail_probes:
+                for n, v in trace.expansion:
                     assert v == delta_bound(n, eps, spec).log_value
                 assert trace.delta_log_at_n == delta_bound(n_star, eps, spec).log_value
 
@@ -322,7 +286,30 @@ class TestSolveMinN:
         assert ns == [1, 9587, 122501, 155114, 158135, 158382, 158402, 158404]
         assert ns[1:] == [n + math.ceil(4 * (v - LN_001) / 0.05**2)
                           for n, v in trace.expansion[:-1]]
-        assert all(v <= LN_001 for _, v in trace.tail_probes)
+
+    @pytest.mark.parametrize("eps,families", [
+        (0.2, FAMILIES),
+        (0.05, FAMILIES),
+        (1e-4, FAMILIES),
+        (1e-8, ((0, 1), (1, 1), (2, 1), (1, 4))),
+    ], ids=["0.2", "0.05", "1e-4", "float-band"])
+    def test_evaluates_only_probes_and_bisection_points(self, monkeypatch, eps, families):
+        # the bound provably stays at or below the target past n*, so the
+        # solver evaluates its expansion probes and then its bisection
+        # points, each once, and nothing past the bracket's high end; where
+        # the steps land on n* itself that is nothing past n*, and only in
+        # the float band (n* from 2^57 to 2^63 at eps = 1e-8) does the last
+        # step overshoot n*, leaving the bisection to pin it
+        seen = bound_evaluations(monkeypatch)
+        for h, p in families:
+            seen.clear()
+            n_star, trace = solve_min_n_trace(0.01, eps, HypothesisSpec(h, p))
+            probes = [n for n, _ in trace.expansion]
+            assert len(seen) == len(set(seen)) == len(probes) + trace.bisection_steps
+            assert seen[:len(probes)] == probes
+            assert max(seen) == trace.bracket[1]
+            assert (trace.bracket[1] == n_star) == (eps != 1e-8), (h, p)
+            assert trace.tail_probes == ()
 
 
 class TestSolveMaxEps:

@@ -139,7 +139,7 @@ class TestSolveN:
         assert "no sample size" in err
 
     @pytest.mark.parametrize(
-        ("ceiling", "evaluations"), [(None, 21), ("1026778", 9)],
+        ("ceiling", "evaluations"), [(None, 9), ("1026778", 9)],
         ids=["headline", "crossing-at-ceiling"],
     )
     def test_each_point_is_evaluated_once(self, capsys, monkeypatch, ceiling, evaluations):

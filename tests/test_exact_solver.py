@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -128,11 +129,76 @@ def last_concavity_failure(h, p):
     return max(failures, default=1)
 
 
+@st.composite
+def family_and_n_le_m(draw):
+    """(h, n, m) with h in 1..16 and h + 1 <= n <= m, n up to 2^20 and m
+    up to 2^23, both uniform over bit lengths."""
+    h = draw(st.integers(1, 16))
+    n = draw(st.integers(h + 1, 2 ** draw(st.integers((h + 1).bit_length(), 20))))
+    return h, n, draw(st.integers(n, 2 ** draw(st.integers(n.bit_length(), 23))))
+
+
+def first_n_past_lemma_b(h, p, eps):
+    """The least n with (n - h) * eps^2 >= 4 * p * h, in exact rationals."""
+    return h + math.ceil(4 * p * h / Fraction(eps) ** 2)
+
+
 class TestSingleCrossing:
-    """ROADMAP item 16's two integer conditions. With them the log-bound
-    f(n) = ln 2 + ln N(n) - n * eps^2 / 4 rises up to v and is concave from
-    v on, so it crosses any ln delta once: (b) makes every step before v
-    multiply N by 2 > e^(1/4) > e^(eps^2/4), and (a) makes ln N concave."""
+    """The single crossing that solve_min_n_trace's docstring proves: with
+    f(n) = ln 2 + ln N(n) - n * eps^2 / 4, f(n*) <= ln delta < 0 implies
+    f(m) <= ln delta for every m >= n*. Lemma (A) bounds N's growth, lemma
+    (B) places every n with f(n) < 0 where that bound falls; both are
+    checked here in exact integers, (B) also end to end in decimal. The
+    concavity tests below record the shape of ln N itself, which the proof
+    does not need: concave from 2h + 1 on, from n = 2 at p = 1."""
+
+    @given(family_and_n_le_m(), st.integers(1, 256))
+    @example((1, 2, 2), 1)
+    @example((16, 17, 2**23), 256)
+    @example((16, 2**20, 2**23), 256)
+    @settings(max_examples=200, deadline=None)
+    def test_lemma_a_bounds_the_counts_growth(self, h_n_m, p):
+        # N(m) / N(n) <= ((m - h) / (n - h))^(p*h) for h + 1 <= n <= m
+        h, n, m = h_n_m
+        assert count(m, h, p) * (n - h) ** (p * h) <= count(n, h, p) * (m - h) ** (p * h)
+
+    @given(st.integers(0, 40), st.integers(1, 256))
+    @example(40, 256)
+    @settings(max_examples=100, deadline=None)
+    def test_lemma_b_short_rows_count_at_least_half_of_2_to_the_n(self, h, p):
+        # for n <= 2h + 1 the counts cover half of row n - 1: 2 N(n) >= 2^n
+        assert all(2 * count(n, h, p) >= 2**n for n in range(1, 2 * h + 2))
+
+    @given(st.integers(1, 64), st.integers(0, 2**63 - 2))
+    @example(1, 1)
+    @example(64, 64)
+    @example(64, 2**63 - 2)
+    @settings(max_examples=300, deadline=None)
+    def test_lemma_b_binomial_lower_bound(self, h, extra):
+        # C(M, h) >= (M / h)^h for M >= h, as C(M, h) * h^h >= M^h
+        m = h + extra
+        assert math.comb(m, h) * h**h >= m**h
+
+    @given(st.integers(0, 10), st.sampled_from((1, 2, 3, 4, 8, 16)),
+           st.sampled_from((0.999, 0.9, 0.5, 0.3)), st.floats(0, 1))
+    @example(10, 16, 0.3, 1.0)
+    @example(1, 1, 0.999, 1.0)
+    @example(0, 1, 0.999, 1.0)
+    @settings(max_examples=200, deadline=None)
+    def test_lemma_b_the_bound_stays_above_1_before_its_line(self, h, p, eps, at):
+        # f(n) > 0, the margin against delta = 1, at every n below the
+        # least n with (n - h) * eps^2 >= 4 * p * h; `at` picks n in
+        # 1..that n - 1, and at h = 0, where there is none, n = 1
+        top = max(first_n_past_lemma_b(h, p, eps) - 1, 1)
+        n = 1 + round(at * (top - 1))
+        assert margin(n, eps, 1.0, h, p) > 0
+
+    def test_lemma_b_every_n_below_the_line_at_the_headline_family(self):
+        # an exhaustive scan at (h, p) = (3, 16), eps = 0.9: every n with
+        # (n - h) * eps^2 < 4 * p * h keeps f(n) above 0
+        top = first_n_past_lemma_b(3, 16, 0.9)
+        assert top == 241
+        assert all(margin(n, 0.9, 1.0, 3, 16) > 0 for n in range(1, top))
 
     @given(family_and_n_past_2h(), st.integers(1, 256))
     @example((1, 3), 2)
@@ -140,7 +206,7 @@ class TestSingleCrossing:
     @example((12, 2**63 - 2), 256)
     @settings(max_examples=200, deadline=None)
     def test_log_concave_from_2h_plus_1(self, h_n, p):
-        # (a) N(n-1) * N(n+1) <= N(n)^2 for every n >= 2h + 1
+        # N(n-1) * N(n+1) <= N(n)^2 for every n >= 2h + 1
         h, n = h_n
         assert count(n - 1, h, p) * count(n + 1, h, p) <= count(n, h, p) ** 2
 
@@ -148,13 +214,15 @@ class TestSingleCrossing:
     @example(12, 256)
     @settings(max_examples=200, deadline=None)
     def test_count_doubles_before_the_last_concavity_failure(self, h, p):
-        # (b) with v the largest n <= 2h where (a) fails, or 1 if none,
+        # with v the largest n <= 2h where concavity fails, or 1 if none,
         # N(n+1) >= 2 N(n) for 1 <= n < v
         v = last_concavity_failure(h, p)
         assert all(count(n + 1, h, p) >= 2 * count(n, h, p) for n in range(1, v))
 
     def test_concavity_fails_for_some_p_above_1_and_never_at_p_1(self):
-        # the scan that (b) rests on finds failures, so (b) is not vacuous
+        # the scan the doubling test rests on finds failures, so that test
+        # is not vacuous, and concavity alone gives no single crossing at
+        # p >= 2
         assert all(last_concavity_failure(h, 1) == 1 for h in range(1, 13))
         assert any(last_concavity_failure(h, p) > 1 for h in range(1, 13) for p in (2, 4, 16))
         # at p >= 2 the failures below 2h + 1 reach far: up to n = 16 at (8, 64)
@@ -168,9 +236,10 @@ class TestSingleCrossing:
     @example(64, 2**63 - 2)
     @settings(max_examples=300, deadline=None)
     def test_p_1_is_log_concave_from_n_2(self, h, n):
-        # the proof in solve_min_n_trace's docstring, at its two steps: with
-        # m = n - 1 and S(m) = N(n) / 2, Pascal's rule gives S(m + 1) =
-        # 2 S(m) - C(m, h), and then N(n-1) * N(n+1) <= N(n)^2 at every n
+        # at p = 1 ln N is concave from n = 2, the README's Pascal-rule
+        # note at its two steps: with m = n - 1 and S(m) = N(n) / 2,
+        # Pascal's rule gives S(m + 1) = 2 S(m) - C(m, h), and then
+        # N(n-1) * N(n+1) <= N(n)^2 at every n
         m = n - 1
         s_m, s_next = count(n, h, 1) // 2, count(n + 1, h, 1) // 2
         assert s_next == 2 * s_m - math.comb(m, h)
